@@ -17,7 +17,6 @@ from .bounds import (
     tc_dimension_upper,
     tc_sphere_bundle,
     tc_split_upper,
-    tc_trivial_fiber_rule,
 )
 from .bundle import (
     BaseSpace,
@@ -38,7 +37,6 @@ from .planner import (
     NotSameFiberError,
     PlannedPath,
     ProjectiveRep,
-    alpha_deform,
     cell_index,
     cell_section,
     classify_pair,

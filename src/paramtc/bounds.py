@@ -57,7 +57,6 @@ __all__ = [
     "tc_dimension_upper",
     "kernel_cuplength",
     "tc_split_upper",
-    "tc_trivial_fiber_rule",
     "NOTE_STRONGER",
 ]
 
@@ -70,7 +69,6 @@ NOTE_STRONGER = (
 
 class Quantity(Enum):
     SECAT_SPHERE_BUNDLE = "secat_sphere_bundle"
-    SECAT_DDOT = "secat_ddot"
     PARAMETRIZED_TC = "parametrized_tc"
 
 
@@ -286,15 +284,6 @@ def tc_split_upper(secat_tau_ddot: int, secat_tau_dot: int) -> int:
     if secat_tau_ddot < 0 or secat_tau_dot < 0:
         raise ValueError("sectional categories are non-negative")
     return secat_tau_ddot + secat_tau_dot + 2
-
-
-def tc_trivial_fiber_rule(fiber_contractible: bool) -> int | None:
-    """Exactly 0 for contractible fibers; inapplicable (None) otherwise.
-
-    Sphere fibers are never contractible, so the sphere-bundle engine never
-    consults this rule.
-    """
-    return 0 if fiber_contractible else None
 
 
 def _known_secat_ddot(d: DdotDescriptor, base_dim: int) -> int | None:

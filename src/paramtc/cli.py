@@ -109,7 +109,7 @@ def _load_json(text_or_path: str, what: str):
         text = path.read_text()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise UsageError(f"malformed {what} JSON: {exc}") from exc
 
 
@@ -120,7 +120,7 @@ def _base_from_json(node) -> "object":
     family = node.get("family")
     if family == "CPn":
         n = node.get("n")
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise UsageError("base CPn requires a non-negative integer n")
         return cpn(n)
     if family == "point":
@@ -140,7 +140,7 @@ def _construction_from_json(node, base) -> BundleDescriptor:
     if op == "trivial":
         _reject_unknown(node, {"op", "rank"}, "trivial node")
         rank = node.get("rank", 1)
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise UsageError("trivial node rank must be a positive integer")
         return trivial_bundle(base, rank)
     if op == "sum":
@@ -175,7 +175,7 @@ def load_descriptor(source: str) -> BundleDescriptor:
         updates["has_complex_structure"] = flags["complex_structure"]
     if "independent_sections" in flags:
         v = flags["independent_sections"]
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise UsageError("independent_sections must be a non-negative integer")
         updates["independent_sections"] = max(v, bundle.independent_sections)
     if updates:
@@ -189,6 +189,16 @@ def load_descriptor(source: str) -> BundleDescriptor:
 # -- point / pair parsing ------------------------------------------------------
 
 
+def _number_from_json(value, what: str) -> float:
+    # JSON booleans decode to bool, a subclass of int: `type` keeps them out
+    if type(value) not in (int, float):
+        raise UsageError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise UsageError(f"{what} is too large: {exc}") from exc
+
+
 def _complex_vector_from_json(data, what: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise UsageError(f"{what} must be a non-empty list of [re, im] pairs")
@@ -196,7 +206,7 @@ def _complex_vector_from_json(data, what: str) -> np.ndarray:
     for entry in data:
         if not isinstance(entry, list) or len(entry) != 2:
             raise UsageError(f"{what} entries must be [re, im] pairs")
-        out.append(complex(float(entry[0]), float(entry[1])))
+        out.append(complex(_number_from_json(entry[0], what), _number_from_json(entry[1], what)))
     return np.array(out, dtype=complex)
 
 
@@ -213,8 +223,9 @@ def _point_from_json(node, what: str) -> BundlePoint:
             raise UsageError(f"{what} needs fields z, w, s")
     z = _complex_vector_from_json(node["z"], f"{what}.z")
     w = _complex_vector_from_json(node["w"], f"{what}.w")
+    s = _number_from_json(node["s"], f"{what}.s")
     try:
-        return BundlePoint(ProjectiveRep(z), w, float(node["s"]))
+        return BundlePoint(ProjectiveRep(z), w, s)
     except ValueError as exc:
         raise UsageError(f"invalid {what}: {exc}") from exc
 
@@ -332,6 +343,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_plan(args) -> int:
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
+    for flag, tol in (("--tol-anti", args.tol_anti), ("--tol-cell", args.tol_cell)):
+        if not 0.0 <= tol < 1.0:  # also false for NaN
+            raise UsageError(f"{flag} must be a number in [0, 1)")
     pair = _load_pair(args.pair, args.family, args.n)
     try:
         if args.family == "hopf":
@@ -382,6 +396,12 @@ def _resolve_seed(explicit: int | None) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 2:
+        raise UsageError("--samples must be at least 2")
+    if args.n < 0:
+        raise UsageError("--n must be non-negative")
+    if args.n < 1 and args.suite in ("all", "partition"):
+        raise UsageError("--n must be at least 1 for the partition suite")
     seed = _resolve_seed(args.seed)
     outcomes = []
     if args.suite in ("all", "oracle"):

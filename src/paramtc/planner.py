@@ -15,8 +15,9 @@ same-fiber pairs (x, y) into n + 3 pieces:
   (the normalized interpolation of the endpoints, run at uniform angular
   speed so its parametric velocity never exceeds the arc length);
 * piece 1: antipodal pairs off the poles ``(0, +-1)``, joined in three
-  steps -- flatten x to the equator, rotate its line component by the phase
-  e^{i pi t}, and unflatten to -x;
+  steps -- flatten x along its great circle to the equator point
+  ``(w/|w|, 0)``, rotate that point by the phase e^{i pi t}, and unflatten
+  along the mirrored great circle to -x;
 * piece 2 + j: antipodal pairs at the poles over the open cell of CP^n
   whose last nonzero homogeneous coordinate is the j-th, joined by a polar
   rotation towards a direction the cell section picks continuously.
@@ -45,7 +46,6 @@ __all__ = [
     "classify_pair",
     "cell_index",
     "cell_section",
-    "alpha_deform",
     "plan",
     "plan_hopf",
     "NotSameFiberError",
@@ -78,6 +78,8 @@ def _as_complex_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty one-dimensional complex vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("vector entries must be finite")
     return arr
 
 
@@ -135,6 +137,8 @@ class BundlePoint:
         if w.size != z.z.size:
             raise ValueError("w must have the same ambient dimension as z")
         s = float(s)
+        if not math.isfinite(s):
+            raise ValueError(f"s must be finite, got {s}")
         residual = float(np.linalg.norm(w - _hdot(w, z.z) * z.z))
         if residual > _UNIT_TOL:
             raise ValueError(f"w is not in the line of z (residual {residual:.2e})")
@@ -237,113 +241,52 @@ def classify_pair(
     return 2 + cell_index(x.z, tol_cell)
 
 
-def alpha_deform(x: BundlePoint, t: float) -> BundlePoint:
-    """Deformation flattening the trivial component: identity at t=0, at t=1
-    the retraction onto the equator ``(w/|w|, 0)``.
-
-    Shrinks ``s`` by the factor ``1 - t`` and renormalises; undefined on the
-    poles ``w = 0``.
-    """
-    if x.w_norm == 0.0:
-        raise ValueError("the retraction is undefined on the poles (w = 0)")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    w, s = _alpha_coords(x.w, x.s, t)
-    return BundlePoint(x.z, w, s)
-
-
-def _alpha_coords(w: np.ndarray, s: float, t: float) -> tuple[np.ndarray, float]:
-    s_scaled = (1.0 - t) * s
-    norm = math.hypot(float(np.linalg.norm(w)), s_scaled)
-    return w / norm, s_scaled / norm
-
-
 # -- path segments -----------------------------------------------------------
 #
-# Every segment evaluates fiber coordinates (w, s) on its own local time
-# u in [0, 1], at angular speed at most pi (plus conditioning slack), and is
-# analytic in u.
+# Every segment is a great-circle arc cos(a) p + sin(a) d through orthonormal
+# fiber points p and d, with a = u * angle on the segment's local time u in
+# [0, 1]: constant speed |angle| <= pi, analytic in u.
 
 
-class GeodesicSegment:
-    """Constant-speed arc between non-antipodal fiber points.
-
-    Same image and endpoints as the normalized straight-line interpolation,
-    reparametrized to uniform angular speed (= the arc angle, always < pi).
-    """
-
-    kind = "interpolation"
-
-    def __init__(self, start: tuple[np.ndarray, float], end: tuple[np.ndarray, float]):
-        self.w0, self.s0 = start
-        self.w1, self.s1 = end
-        inner = float(np.real(_hdot(self.w0, self.w1))) + self.s0 * self.s1
-        self.theta = math.acos(max(-1.0, min(1.0, inner)))
-        self.sin_theta = math.sin(self.theta)
-
-    def fiber_at(self, u: float) -> tuple[np.ndarray, float]:
-        if self.theta < 1e-9:
-            # nearly equal endpoints: plain interpolation is exact enough
-            w = (1.0 - u) * self.w0 + u * self.w1
-            s = (1.0 - u) * self.s0 + u * self.s1
-            norm = math.hypot(float(np.linalg.norm(w)), s)
-            return w / norm, s / norm
-        a = math.sin((1.0 - u) * self.theta) / self.sin_theta
-        b = math.sin(u * self.theta) / self.sin_theta
-        return a * self.w0 + b * self.w1, a * self.s0 + b * self.s1
-
-
-class AlphaSegment:
-    """Run the flattening deformation from parameter ``a0`` to ``a1``."""
-
-    kind = "alpha-deformation"
-
-    def __init__(self, point: tuple[np.ndarray, float], a0: float, a1: float):
-        self.w, self.s = point
-        self.a0 = a0
-        self.a1 = a1
-
-    def fiber_at(self, u: float) -> tuple[np.ndarray, float]:
-        return _alpha_coords(self.w, self.s, self.a0 + u * (self.a1 - self.a0))
-
-
-class PhaseRotationSegment:
-    """Rotate the line component by ``e^{i phi}``, phase running phi0 -> phi1."""
-
-    kind = "phase-rotation"
-
-    def __init__(self, point: tuple[np.ndarray, float], phi0: float, phi1: float):
-        self.w, self.s = point
-        self.phi0 = phi0
-        self.phi1 = phi1
-
-    def fiber_at(self, u: float) -> tuple[np.ndarray, float]:
-        angle = self.phi0 + u * (self.phi1 - self.phi0)
-        phase = complex(math.cos(angle), math.sin(angle))
-        return phase * self.w, self.s
-
-
-class PolarSegment:
-    """Great-circle rotation ``cos(a) x + sin(a) d`` for orthonormal x, d."""
-
-    kind = "polar-rotation"
+class ArcSegment:
+    """Great-circle arc ``cos(a) p + sin(a) d``, ``a`` running from 0 to ``angle``."""
 
     def __init__(
         self,
+        kind: str,
         pivot: tuple[np.ndarray, float],
         direction: tuple[np.ndarray, float],
-        ang0: float,
-        ang1: float,
+        angle: float,
     ):
+        self.kind = kind
         self.wp, self.sp = pivot
         self.wd, self.sd = direction
-        self.ang0 = ang0
-        self.ang1 = ang1
+        self.angle = angle
 
     def fiber_at(self, u: float) -> tuple[np.ndarray, float]:
-        a = self.ang0 + u * (self.ang1 - self.ang0)
+        a = u * self.angle
         c, s = math.cos(a), math.sin(a)
         return c * self.wp + s * self.wd, c * self.sp + s * self.sd
+
+
+def _geodesic(start: tuple[np.ndarray, float], end: tuple[np.ndarray, float]) -> ArcSegment:
+    """Constant-speed arc from ``start`` to a non-antipodal ``end``.
+
+    The direction is the part of ``end`` orthogonal to ``start``; the angle
+    comes from atan2, which stays accurate near 0 and near pi, unlike acos.
+    """
+    (w0, s0), (w1, s1) = start, end
+    inner = float(np.real(_hdot(w0, w1))) + s0 * s1
+    wd, sd = w1 - inner * w0, s1 - inner * s0
+    perp = math.sqrt(float(np.vdot(wd, wd).real) + sd * sd)
+    if perp == 0.0:
+        return ArcSegment("interpolation", start, (wd, sd), 0.0)
+    return ArcSegment("interpolation", start, (wd / perp, sd / perp), math.atan2(perp, inner))
+
+
+def _phase_rotation(w: np.ndarray, phi: float) -> ArcSegment:
+    """Rotate the equator point ``(w, 0)`` by the phase ``e^{i a}``, a running 0 -> phi."""
+    return ArcSegment("phase-rotation", (w, 0.0), (1j * w, 0.0), phi)
 
 
 class PlannedPath:
@@ -433,13 +376,13 @@ def plan(
     p, q = _coords(x), _coords(y)
 
     if piece == 0:
-        segments: list = [GeodesicSegment(p, q)]
+        segments = [_geodesic(p, q)]
     elif piece == 1:
         equator_w = x.w / x.w_norm
         segments = [
-            AlphaSegment(p, 0.0, 1.0),
-            PhaseRotationSegment((equator_w, 0.0), 0.0, math.pi),
-            AlphaSegment((-x.w, -x.s), 1.0, 0.0),
+            _geodesic(p, (equator_w, 0.0)),
+            _phase_rotation(equator_w, math.pi),
+            _geodesic((-equator_w, 0.0), (-x.w, -x.s)),
         ]
         segments += _snap_segment(x, y)
     else:
@@ -449,7 +392,7 @@ def plan(
         wd = direction - overlap * x.w
         sd = -overlap * x.s
         norm = math.hypot(float(np.linalg.norm(wd)), sd)
-        segments = [PolarSegment(p, (wd / norm, sd / norm), 0.0, math.pi)]
+        segments = [ArcSegment("polar-rotation", p, (wd / norm, sd / norm), math.pi)]
         segments += _snap_segment(x, y)
 
     return PlannedPath(
@@ -467,7 +410,7 @@ def _snap_segment(x: BundlePoint, y: BundlePoint) -> list:
     dw = float(np.linalg.norm(anti[0] - y.w))
     if math.hypot(dw, anti[1] - y.s) <= _SNAP_EPS:
         return []
-    return [GeodesicSegment(anti, _coords(y))]
+    return [_geodesic(anti, _coords(y))]
 
 
 def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
@@ -495,11 +438,10 @@ def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
         piece = 1
         phi = math.pi
 
-    segment = PhaseRotationSegment((z, 0.0), 0.0, phi)
     return PlannedPath(
         piece=piece,
         z=rep,
-        segments=[segment],
+        segments=[_phase_rotation(z, phi)],
         breakpoints=[0.0, 1.0],
         start=BundlePoint(rep, z, 0.0),
         end=BundlePoint(rep, z2, 0.0),

@@ -16,7 +16,6 @@ from paramtc.bounds import (
     tc_dimension_upper,
     tc_sphere_bundle,
     tc_split_upper,
-    tc_trivial_fiber_rule,
 )
 from paramtc.bundle import (
     BundleDescriptor,
@@ -231,14 +230,6 @@ class TestSplitUpper:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             tc_split_upper(-1, 0)
-
-
-class TestTrivialFiberRule:
-    def test_contractible(self):
-        assert tc_trivial_fiber_rule(True) == 0
-
-    def test_sphere_fiber_inapplicable(self):
-        assert tc_trivial_fiber_rule(False) is None
 
 
 class TestReportPlumbing:

@@ -280,6 +280,62 @@ class TestTable:
             assert cell["lower"] == "1" and cell["exact"] == "true"
 
 
+def _descriptor(base_n=2, rank=1, flags=None):
+    doc = {
+        "base": {"family": "CPn", "n": base_n},
+        "construction": {"op": "sum", "summands": [{"op": "canonical"}, {"op": "trivial", "rank": rank}]},
+    }
+    if flags is not None:
+        doc["flags"] = flags
+    return json.dumps(doc)
+
+
+def _pair_with(**changes):
+    x = {"z": [[1.0, 0.0], [0.0, 0.0]], "w": [[0.6, 0.0], [0.0, 0.0]], "s": 0.8}
+    x.update(changes)
+    return json.dumps({"x": x, "y": x})
+
+
+# every probe is bad input that must be refused with exit 1, never a traceback
+BAD_INPUT_PROBES = {
+    "nan-in-w": ["plan", "--pair", _pair_with(w=[[math.nan, 0.0], [0.0, 0.0]])],
+    "nan-s": ["plan", "--pair", _pair_with(s=math.nan)],
+    "hopf-nan": ["plan", "--family", "hopf", "--pair", '{"z": [[1, 0], [0, 0]], "z2": [[NaN, 0], [0, 0]]}'],
+    "string-entry": ["plan", "--pair", _pair_with(w=[["abc", 0.0], [0.0, 0.0]])],
+    "null-entry": ["plan", "--pair", _pair_with(w=[[None, 0.0], [0.0, 0.0]])],
+    "bool-entry": ["plan", "--pair", _pair_with(w=[[True, 0.0], [0.0, 0.0]], s=0.0)],
+    "string-s": ["plan", "--pair", _pair_with(s="0.8")],
+    "huge-int-entry": ["plan", "--pair", _pair_with(w=[[10**400, 0], [0, 0]])],
+    "over-long-int": ["plan", "--pair", '{"x": ' + "1" * 5000 + "}"],
+    "tol-anti-nan": ["plan", "--pair", _pair_with(), "--tol-anti", "nan"],
+    "tol-cell-nan": ["plan", "--pair", _pair_with(), "--tol-cell", "nan"],
+    "tol-anti-inf": ["plan", "--pair", _pair_with(), "--tol-anti", "inf"],
+    "tol-cell-negative": ["plan", "--pair", _pair_with(), "--tol-cell", "-1e-10"],
+    "tol-anti-one": ["plan", "--pair", _pair_with(), "--tol-anti", "1"],
+    "bool-n": ["bounds", "--descriptor", _descriptor(base_n=True)],
+    "bool-rank": ["bounds", "--descriptor", _descriptor(rank=True)],
+    "bool-sections": ["bounds", "--descriptor", _descriptor(flags={"independent_sections": True})],
+    "verify-samples-1": ["verify", "--suite", "paths", "--samples", "1"],
+    "verify-negative-n": ["verify", "--suite", "paths", "--n", "-1"],
+    "verify-n-0-partition": ["verify", "--suite", "partition", "--n", "0"],
+    "verify-n-0-all": ["verify", "--n", "0"],
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BAD_INPUT_PROBES))
+def test_bad_input_is_usage_error(capsys, probe):
+    code, out, err = run(capsys, *BAD_INPUT_PROBES[probe])
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""  # refused before any suite or plan ran
+
+
+def test_verify_paths_accepts_n_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "paths", "--n", "0", "--trials", "5")
+    assert code == 0
+    assert "paths(n=0)" in out
+
+
 class TestParsing:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run(capsys)

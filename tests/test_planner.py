@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from paramtc.planner import (
+    TOL_ANTI,
     BundlePoint,
     DegenerateRepresentativeError,
     NotSameFiberError,
     PlannedPath,
     ProjectiveRep,
-    alpha_deform,
     cell_index,
     cell_section,
     classify_pair,
@@ -22,6 +22,7 @@ from paramtc.planner import (
     plan,
     plan_hopf,
 )
+from paramtc.verify import check_path
 
 RNG = np.random.default_rng(20240517)
 
@@ -55,6 +56,21 @@ class TestTypes:
     def test_section_point(self):
         p = BundlePoint.section_point(random_rep(2))
         assert p.w_norm == 0.0 and p.s == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rep_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProjectiveRep([1.0, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_w_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BundlePoint(ProjectiveRep([1.0, 0.0]), [complex(bad, 0.0), 0.0], 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_s_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BundlePoint(ProjectiveRep([1.0, 0.0]), [0.0, 0.0], bad)
 
 
 class TestFiberInner:
@@ -124,33 +140,6 @@ class TestCells:
             cell_section(ProjectiveRep([1.0, 0.0]), 1)
 
 
-class TestAlphaDeform:
-    def test_identity_at_zero(self):
-        x = random_point(random_rep(2))
-        if x.w_norm == 0.0:
-            pytest.skip("pole sampled")
-        assert fiber_distance(alpha_deform(x, 0.0), x) < 1e-12
-
-    def test_retraction_at_one(self):
-        z = random_rep(2)
-        x = BundlePoint.from_fiber(z, 0.6, 0.8)
-        out = alpha_deform(x, 1.0)
-        assert out.s == 0.0
-        assert np.allclose(out.w, x.w / x.w_norm, atol=1e-12)
-
-    def test_halfway_values(self):
-        # (0.6, 0.8) at t = 1/2: scale by 1/sqrt(0.52), s -> 0.4/sqrt(0.52)
-        z = random_rep(1)
-        x = BundlePoint.from_fiber(z, 0.6, 0.8)
-        out = alpha_deform(x, 0.5)
-        assert out.s == pytest.approx(0.4 / math.sqrt(0.52), abs=1e-12)
-        assert out.w_norm == pytest.approx(0.6 / math.sqrt(0.52), abs=1e-12)
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_deform(BundlePoint.section_point(random_rep(1)), 0.5)
-
-
 class TestClassify:
     def test_generic_pair_is_piece_zero(self):
         z = random_rep(2)
@@ -205,6 +194,13 @@ class TestPlanHopf:
         with pytest.raises(NotSameFiberError):
             plan_hopf([1.0, 0.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            plan_hopf([1.0, 0.0], [complex(0.0, bad), 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            plan_hopf([complex(bad, 0.0), 0.0], [1.0, 0.0])
+
 
 class TestPlan:
     def test_equal_endpoints_constant_piece_zero(self):
@@ -231,12 +227,33 @@ class TestPlan:
         assert fiber_distance(path.at(1.0), x.antipode()) < 1e-12
 
     def test_piece_one_alpha_checkpoint(self):
-        # first third runs the flattening: t = 1/6 is alpha at parameter 1/2
+        # the first third flattens along the great circle from (0.6, 0.8) to
+        # (1, 0): t = 1/6 is its midpoint (2, 1)/sqrt(5)
         z = random_rep(1)
         x = BundlePoint.from_fiber(z, 0.6, 0.8)
         path = plan(x, x.antipode())
-        _, s = path.fiber_at(1 / 6)
-        assert s == pytest.approx(0.4 / math.sqrt(0.52), abs=1e-12)
+        w, s = path.fiber_at(1 / 6)
+        assert s == pytest.approx(1 / math.sqrt(5), abs=1e-12)
+        assert np.allclose(w, 2 / math.sqrt(5) * x.w / x.w_norm, atol=1e-12)
+
+    def test_piece_zero_closed_form(self):
+        # the arc is the slerp sin((1-t)θ)/sinθ x + sin(tθ)/sinθ y
+        checked = 0
+        while checked < 40:
+            z = random_rep(2)
+            x, y = random_point(z), random_point(z)
+            theta = math.acos(fiber_inner(x, y))
+            if not 0.3 <= theta <= 2.8:
+                continue
+            checked += 1
+            path = plan(x, y)
+            assert path.piece == 0
+            for t in np.linspace(0.0, 1.0, 11):
+                a = math.sin((1 - t) * theta) / math.sin(theta)
+                b = math.sin(t * theta) / math.sin(theta)
+                w, s = path.fiber_at(t)
+                assert np.allclose(w, a * x.w + b * y.w, rtol=0.0, atol=1e-12)
+                assert s == pytest.approx(a * x.s + b * y.s, rel=0.0, abs=1e-12)
 
     def test_pole_pair_polar_formula(self):
         z = ProjectiveRep([1.0, 0.0, 0.0])
@@ -298,6 +315,39 @@ class TestPlan:
     def test_different_fibers_rejected(self):
         with pytest.raises(NotSameFiberError):
             plan(random_point(random_rep(2)), random_point(random_rep(2)))
+
+
+def _cell_rep(n: int, j: int) -> ProjectiveRep:
+    """A representative inside the open 2j-cell of CP^n."""
+    v = np.zeros(n + 1, dtype=complex)
+    v[: j + 1] = np.exp(1j * np.arange(1, j + 2))
+    return ProjectiveRep.normalized(v)
+
+
+# |w| log-spaced over piece 1, then just either side of the pole tolerance
+PIECE_ONE_RADII = [*np.geomspace(2 * TOL_ANTI, 1.0, 40), 0.99 * TOL_ANTI, 1.01 * TOL_ANTI]
+
+
+@pytest.mark.parametrize("n, j", [(1, 0), (1, 1), (3, 0), (3, 1), (3, 2), (3, 3)])
+def test_off_pole_antipodes_keep_the_speed_bound(n, j):
+    z = _cell_rep(n, j)
+    for r in PIECE_ONE_RADII:
+        height = math.sqrt(max(0.0, 1.0 - r * r))
+        for sign in (1.0, -1.0):
+            for phase in (0.0, 2.0, -2.5):
+                x = BundlePoint.from_fiber(z, r * complex(math.cos(phase), math.sin(phase)), sign * height)
+                targets = [x.antipode()]
+                if phase == 0.0:
+                    # -x turned 3e-5 rad towards (i z, 0), a unit vector orthogonal
+                    # to x: still antipodal within TOL_ANTI, so a snap segment ends the path
+                    eps = 3e-5
+                    w = -math.cos(eps) * x.w + 1j * math.sin(eps) * z.z
+                    targets.append(BundlePoint(z, w, -math.cos(eps) * x.s))
+                for y in targets:
+                    path = plan(x, y)
+                    assert path.piece == (1 if r > TOL_ANTI else 2 + j)
+                    outcome = check_path(path, samples=21)
+                    assert outcome.passed, (r, sign, phase, outcome.failures[:3])
 
 
 class TestPlannedPath:
