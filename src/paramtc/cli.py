@@ -40,6 +40,9 @@ from .planner import BundlePoint, ProjectiveRep, TOL_ANTI, TOL_CELL, plan, plan_
 __all__ = ["execute", "main", "UsageError"]
 
 
+MAX_CONSTRUCTION_DEPTH = 64  # nested construction nodes in a descriptor
+
+
 class UsageError(ValueError):
     """Bad invocation: unknown family, malformed file, out-of-range parameter."""
 
@@ -111,6 +114,8 @@ def _load_json(text_or_path: str, what: str):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise UsageError(f"malformed {what} JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"{what} JSON is nested too deeply") from exc
 
 
 def _base_from_json(node) -> "object":
@@ -128,7 +133,9 @@ def _base_from_json(node) -> "object":
     raise UsageError(f"unknown base family: {family!r}")
 
 
-def _construction_from_json(node, base) -> BundleDescriptor:
+def _construction_from_json(node, base, depth: int = 1) -> BundleDescriptor:
+    if depth > MAX_CONSTRUCTION_DEPTH:
+        raise UsageError(f"constructions may nest at most {MAX_CONSTRUCTION_DEPTH} levels deep")
     if not isinstance(node, dict):
         raise UsageError("construction nodes must be objects")
     op = node.get("op")
@@ -148,9 +155,9 @@ def _construction_from_json(node, base) -> BundleDescriptor:
         summands = node.get("summands")
         if not isinstance(summands, list) or len(summands) < 2:
             raise UsageError("sum nodes need a list of at least two summands")
-        out = _construction_from_json(summands[0], base)
+        out = _construction_from_json(summands[0], base, depth + 1)
         for child in summands[1:]:
-            out = whitney_sum(out, _construction_from_json(child, base))
+            out = whitney_sum(out, _construction_from_json(child, base, depth + 1))
         return out
     raise UsageError(f"unknown construction op: {op!r}")
 
@@ -402,6 +409,10 @@ def _cmd_verify(args) -> int:
         raise UsageError("--n must be non-negative")
     if args.n < 1 and args.suite in ("all", "partition"):
         raise UsageError("--n must be at least 1 for the partition suite")
+    if args.n_max < 1:
+        raise UsageError("--n-max must be at least 1")
+    if args.trials < 0:
+        raise UsageError("--trials must be non-negative")
     seed = _resolve_seed(args.seed)
     outcomes = []
     if args.suite in ("all", "oracle"):

@@ -30,6 +30,14 @@ SPLIT_DESCRIPTOR = """
 """
 
 
+def _nested_sums(depth):
+    # built as a string: json.dumps recurses as deeply as the document nests
+    node = '{"op": "canonical"}'
+    for _ in range(depth):
+        node = '{"op": "sum", "summands": [{"op": "canonical"}, ' + node + "]}"
+    return '{"base": {"family": "CPn", "n": 2}, "construction": ' + node + "}"
+
+
 def _pair_json(n=2):
     z = [[1.0, 0.0]] + [[0.0, 0.0]] * n
     x = {"z": z, "w": [[0.6, 0.0]] + [[0.0, 0.0]] * n, "s": 0.8}
@@ -134,6 +142,12 @@ class TestDescriptorLoading:
         bundle = load_descriptor(doc)
         assert bundle.has_complex_structure
         assert bundle.rank == 4
+
+    def test_construction_depth_cap(self):
+        # 63 nested sums put the innermost nodes at level 64, the deepest allowed
+        assert load_descriptor(_nested_sums(63)).rank == 2 * 64  # 64 canonical lines
+        with pytest.raises(UsageError, match="nest at most 64 levels"):
+            load_descriptor(_nested_sums(64))
 
     def test_inconsistent_flags_rejected(self):
         doc = """
@@ -319,6 +333,12 @@ BAD_INPUT_PROBES = {
     "verify-negative-n": ["verify", "--suite", "paths", "--n", "-1"],
     "verify-n-0-partition": ["verify", "--suite", "partition", "--n", "0"],
     "verify-n-0-all": ["verify", "--n", "0"],
+    "verify-n-max-0": ["verify", "--suite", "oracle", "--n-max", "0"],
+    "verify-n-max-negative": ["verify", "--suite", "oracle", "--n-max", "-3"],
+    "verify-trials-negative": ["verify", "--suite", "partition", "--n", "1", "--trials", "-5"],
+    "descriptor-sum-600": ["bounds", "--descriptor", _nested_sums(600)],
+    "descriptor-sum-1500": ["bounds", "--descriptor", _nested_sums(1500)],
+    "pair-nested-2000": ["plan", "--pair", '{"x": ' + "[" * 2000 + "]" * 2000 + "}"],
 }
 
 
@@ -334,6 +354,21 @@ def test_verify_paths_accepts_n_zero(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "paths", "--n", "0", "--trials", "5")
     assert code == 0
     assert "paths(n=0)" in out
+
+
+def test_verify_trials_zero_runs_the_boundary_pairs(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "partition", "--n", "2", "--trials", "0")
+    assert code == 0
+    # 12 boundary pairs, the coverage check and the cross-fiber check
+    assert "partition(n=2): 14 cases, 0 failures - PASS" in out
+
+
+def test_verify_oracle_suite_at_n_max_10(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--n-max", "10", "--format", "json")
+    assert code == 0
+    (outcome,) = json.loads(out)["outcomes"]
+    assert outcome["passed"] is True
+    assert outcome["cases"] == 4825
 
 
 class TestParsing:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,26 @@ from paramtc.verify import (
     oracle_power,
     _cpn_module,
 )
+
+
+def _expand_words(expression, n):
+    """Reference oracle: expand every word as a string, then rewrite each one."""
+    words = [(1, "")]
+    for factor in expression:
+        words = [(c * c2, w + w2) for c, w in words for c2, w2 in factor]
+    a, b = [0] * (n + 1), [0] * (n + 1)
+    for c, w in words:
+        if set(w) - {"x", "U"}:
+            raise ValueError(f"bad word {w!r}")
+        xs, us = w.count("x"), w.count("U")
+        if us == 0 and xs <= n:
+            a[xs] += c
+        elif us > 0 and xs + us - 1 <= n:  # U^k -> x^{k-1} U
+            b[xs + us - 1] += c
+    return a, b
+
+
+POWER_FAMILIES = {"U-x": [(1, "U"), (-1, "x")], "-x+2U": [(-1, "x"), (2, "U")]}
 
 
 class TestRewriteOracle:
@@ -46,8 +67,41 @@ class TestRewriteOracle:
         assert b == [0, 0, 0]
 
     def test_rejects_bad_letters(self):
-        with pytest.raises(ValueError):
-            lh_rewrite_oracle([[(1, "y")]], n=2)
+        # also beside words already past degree n, whose products are dropped
+        for expression in (
+            [[(1, "y")]],
+            [[(1, "x" * 9)], [(1, "y")]],
+            [[(1, "y")], [(1, "x" * 9)]],
+            [[(1, "U" * 5), (2, "xq")], [(1, "x")]],
+            [[(0, "x" * 4)], [(1, "U"), (1, "y")]],
+        ):
+            with pytest.raises(ValueError):
+                lh_rewrite_oracle(expression, n=2)
+
+    def test_empty_factor_gives_zero_without_checking_words(self):
+        zero = ([0, 0, 0], [0, 0, 0])
+        assert lh_rewrite_oracle([[(1, "x")], []], n=2) == zero
+        assert lh_rewrite_oracle([[(1, "y")], [], [(1, "U")]], n=2) == zero
+
+    def test_matches_word_expansion_on_random_expressions(self):
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            expression = [
+                [
+                    (rng.randint(-3, 3), "".join(rng.choice("xU") for _ in range(rng.randint(0, 3))))
+                    for _ in range(rng.randint(0, 3))
+                ]
+                for _ in range(rng.randint(0, 6))
+            ]
+            assert lh_rewrite_oracle(expression, n) == _expand_words(expression, n), (expression, n)
+
+    @pytest.mark.parametrize("name", sorted(POWER_FAMILIES))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_power_families_match_word_expansion(self, name, n):
+        for k in range(2 * n + 4):
+            expression = oracle_power(POWER_FAMILIES[name], k)
+            assert lh_rewrite_oracle(expression, n) == _expand_words(expression, n), k
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -82,7 +136,7 @@ class TestRewriteOracle:
         assert oracle_height == (n + 1 if n % 2 == 0 else n)
 
     def test_suite_runs_clean(self):
-        out = check_lh_oracle(n_max=4)
+        out = check_lh_oracle(n_max=12)
         assert out.passed
         assert out.cases > 0
 
