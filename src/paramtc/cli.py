@@ -439,6 +439,7 @@ def _cmd_verify(args) -> int:
                             "cases": o.cases,
                             "failures": [list(f) for f in o.failures],
                             "passed": o.passed,
+                            "worst": o.worst,
                         }
                         for o in outcomes
                     ],

@@ -263,10 +263,19 @@ class ArcSegment:
         self.wd, self.sd = direction
         self.angle = angle
 
-    def fiber_at(self, u: float) -> tuple[np.ndarray, float]:
+    def fiber_at(self, u):
+        """Fiber coordinates ``(w, s)`` at local time ``u``.
+
+        ``u`` is a float, or a 1-D array of local times giving one row of
+        ``w`` and one entry of ``s`` per time.
+        """
         a = u * self.angle
-        c, s = math.cos(a), math.sin(a)
-        return c * self.wp + s * self.wd, c * self.sp + s * self.sd
+        if isinstance(a, np.ndarray):
+            c, s = np.cos(a), np.sin(a)
+            cw, sw = c[:, np.newaxis], s[:, np.newaxis]
+        else:
+            c, s = cw, sw = math.cos(a), math.sin(a)
+        return cw * self.wp + sw * self.wd, c * self.sp + s * self.sd
 
 
 def _geodesic(start: tuple[np.ndarray, float], end: tuple[np.ndarray, float]) -> ArcSegment:
@@ -293,8 +302,11 @@ class PlannedPath:
     """A piecewise-analytic path in one fiber, evaluable at any t in [0, 1].
 
     ``segments`` partition global time at ``breakpoints``; each segment is
-    evaluated in its own unit-time parametrization.  The path carries the
-    piece index of the partition that produced it.
+    evaluated in its own unit-time parametrization through its
+    ``fiber_at(u)``, which takes a float ``u`` and returns ``(w, s)``, or a
+    1-D array of times and returns one row of ``w`` and one entry of ``s``
+    per time.  The path carries the piece index of the partition that
+    produced it.
     """
 
     __slots__ = ("piece", "z", "segments", "breakpoints", "start", "end")
@@ -331,11 +343,27 @@ class PlannedPath:
                 return i
         return 0
 
-    def fiber_at(self, t: float) -> tuple[np.ndarray, float]:
-        i = self.segment_index(t)
-        t0, t1 = self.breakpoints[i], self.breakpoints[i + 1]
-        u = (t - t0) / (t1 - t0)
-        return self.segments[i].fiber_at(u)
+    def fiber_at(self, t):
+        """Fiber coordinates at global time ``t``, a float or a 1-D array of times.
+
+        An array is split by the rule of :meth:`segment_index`, and each
+        segment is evaluated once on all of its times.
+        """
+        if not isinstance(t, np.ndarray):
+            i = self.segment_index(t)
+            t0, t1 = self.breakpoints[i], self.breakpoints[i + 1]
+            return self.segments[i].fiber_at((t - t0) / (t1 - t0))
+        if not ((0.0 <= t) & (t <= 1.0)).all():
+            raise ValueError("t must lie in [0, 1]")
+        breaks = np.array(self.breakpoints)
+        index = np.searchsorted(breaks[1:-1], t, side="right")
+        u = (t - breaks[index]) / (breaks[index + 1] - breaks[index])
+        w = np.empty((t.size, self.z.z.size), dtype=complex)
+        s = np.empty(t.size)
+        for i, segment in enumerate(self.segments):
+            on = index == i
+            w[on], s[on] = segment.fiber_at(u[on])
+        return w, s
 
     def at(self, t: float) -> BundlePoint:
         w, s = self.fiber_at(t)

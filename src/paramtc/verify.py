@@ -33,7 +33,6 @@ from .planner import (
     PlannedPath,
     ProjectiveRep,
     classify_pair,
-    fiber_distance,
     plan,
 )
 from .ring import LHElement, LHModule, RingDescriptor, Generator, lh_multiply
@@ -58,15 +57,21 @@ BASE_DRIFT_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-9
 LIPSCHITZ_BOUND = 2 * math.pi + 2
 LIPSCHITZ_STEP = 1e-4
+CHECK_CHUNK = 512  # paths whose samples are stacked at once, bounding memory
 
 
 @dataclass
 class VerificationOutcome:
-    """Result of one suite: case count and the list of violations."""
+    """Result of one suite: case count, the list of violations, worst margins.
+
+    ``worst`` maps an invariant name to the largest value measured for it,
+    failing or not, for the suites that measure one.
+    """
 
     suite: str
     cases: int = 0
     failures: list[tuple[str, str, float | str]] = field(default_factory=list)
+    worst: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -86,7 +91,7 @@ Word = tuple[int, str]  # integer coefficient, word over the letters {x, U}
 Expression = Sequence[Sequence[Word]]  # product of sums of scaled words
 
 
-def lh_rewrite_oracle(expression: Expression, n: int, q: int = 3) -> tuple[list[int], list[int]]:
+def lh_rewrite_oracle(expression: Expression, n: int) -> tuple[list[int], list[int]]:
     """Normal form of a formal product of sums of words in {x, U}.
 
     The letters commute (all degrees being even), so a word's normal form
@@ -102,8 +107,6 @@ def lh_rewrite_oracle(expression: Expression, n: int, q: int = 3) -> tuple[list[
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if q < 2:
-        raise ValueError("q must be >= 2")
     a = [0] * (n + 1)
     b = [0] * (n + 1)
     factors = []
@@ -212,10 +215,9 @@ def check_lh_oracle(n_max: int = 6) -> VerificationOutcome:
 # -- path checking -------------------------------------------------------------
 
 
-def _rate(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float], step: float) -> float:
-    """Finite-difference speed between fiber points taken ``step`` apart."""
-    (w0, s0), (w1, s1) = a, b
-    return math.hypot(float(np.linalg.norm(w1 - w0)), s1 - s0) / step
+def _fiber_gap(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Euclidean length of fiber displacements: norms over the last axis of ``w``."""
+    return np.hypot(np.linalg.norm(w, axis=-1), s)
 
 
 def check_path(path: PlannedPath, samples: int = 50) -> VerificationOutcome:
@@ -226,51 +228,83 @@ def check_path(path: PlannedPath, samples: int = 50) -> VerificationOutcome:
     consecutive grid points, and at step 1e-4 of the segment's unit-time
     parametrization, must stay below 2*pi + 2 (each segment is a
     great-circle arc with angular speed at most pi, plus conditioning slack).
+    The path and each segment are evaluated once on the whole grid, as
+    arrays.  A violation is recorded, never raised, even where the path
+    leaves the sphere or the line; ``worst`` holds the largest measured
+    value of each invariant.
     """
-    out = VerificationOutcome("path")
+    return _check_paths([path], samples)[0]
+
+
+def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[VerificationOutcome]:
+    """:func:`check_path` for paths over one CP^n, their samples stacked into arrays.
+
+    Failures are recorded in the order of the per-point checks: the two
+    endpoints, then per sample normalization and drift, then per segment and
+    grid point the coarse and the fine rate.
+    """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-
-    start, end = path.endpoints
-    out.cases += 2
-    d0 = fiber_distance(path.at(0.0), start)
-    if d0 > ENDPOINT_TOL:
-        out.record("t=0", "endpoint", d0)
-    d1 = fiber_distance(path.at(1.0), end)
-    if d1 > ENDPOINT_TOL:
-        out.record("t=1", "endpoint", d1)
-
-    z0 = path.z.z
-    for i in range(samples):
-        t = i / (samples - 1)
-        w, s = path.fiber_at(t)
-        out.cases += 1
-        wn = float(np.linalg.norm(w))
-        norm = math.hypot(wn, s)
-        if abs(norm - 1.0) > NORM_DRIFT_TOL:
-            out.record(f"t={t:.6f}", "normalization", abs(norm - 1.0))
-        if wn > 1e-6:
-            align = abs(complex(np.vdot(z0, w))) / wn
-        else:
-            align = 1.0  # on the poles the stored representative carries the line
-        if align < 1.0 - BASE_DRIFT_TOL:
-            out.record(f"t={t:.6f}", "base-line drift", 1.0 - align)
-
+    t = np.arange(samples) / (samples - 1)
     spacing = 1.0 / (samples - 1)
-    for k, segment in enumerate(path.segments):
-        grid = [segment.fiber_at(i * spacing) for i in range(samples)]
-        for i in range(samples):
-            u = i * spacing
-            rates = []
-            if i + 1 < samples:  # coarse: to the next grid point
-                rates.append(_rate(grid[i], grid[i + 1], spacing))
-            if u + LIPSCHITZ_STEP <= 1.0:  # fine: at the declared step
-                rates.append(_rate(grid[i], segment.fiber_at(u + LIPSCHITZ_STEP), LIPSCHITZ_STEP))
-            for rate in rates:
-                out.cases += 1
-                if rate > LIPSCHITZ_BOUND:
-                    out.record(f"segment={k} u={u:.6f}", "continuity", rate)
-    return out
+    u = np.arange(samples) * spacing
+    fine = np.flatnonzero(u + LIPSCHITZ_STEP <= 1.0)
+
+    # path samples [path, t]: endpoints, normalization, base line
+    w, s = map(np.stack, zip(*(path.fiber_at(t) for path in paths)))
+    endpoint = np.empty((len(paths), 2))
+    for j, index in enumerate((0, -1)):
+        ends = [path.endpoints[j] for path in paths]
+        gap_w, gap_s = w[:, index] - np.stack([p.w for p in ends]), s[:, index] - [p.s for p in ends]
+        endpoint[:, j] = _fiber_gap(gap_w, gap_s)
+    wn = np.linalg.norm(w, axis=-1)
+    normalization = np.abs(np.hypot(wn, s) - 1.0)
+    z0 = np.stack([path.z.z for path in paths])
+    align = np.ones_like(wn)  # on the poles the stored representative carries the line
+    np.divide(np.abs((z0.conj()[:, np.newaxis] * w).sum(axis=-1)), wn, out=align, where=wn > 1e-6)
+    drift = 1.0 - align
+
+    # segment grids [segment, u], then the fine points: coarse rates to the next
+    # grid point, fine rates at the declared step
+    segments = [segment for path in paths for segment in path.segments]
+    first = np.cumsum([0] + [len(path.segments) for path in paths])  # each path's first segment
+    grid = np.concatenate([u, u[fine] + LIPSCHITZ_STEP])
+    gw, gs = map(np.stack, zip(*(segment.fiber_at(grid) for segment in segments)))
+    rate = np.full((len(segments), samples, 2), -np.inf)  # [segment, grid point, coarse | fine]
+    rate[:, :-1, 0] = _fiber_gap(np.diff(gw[:, :samples], axis=1), np.diff(gs[:, :samples], axis=1)) / spacing
+    fine_w, fine_s = gw[:, samples:] - gw[:, fine], gs[:, samples:] - gs[:, fine]
+    rate[:, fine, 1] = _fiber_gap(fine_w, fine_s) / LIPSCHITZ_STEP
+
+    endpoint_fails = endpoint > ENDPOINT_TOL
+    sample_fails = np.stack([normalization > NORM_DRIFT_TOL, align < 1.0 - BASE_DRIFT_TOL], axis=-1)
+    rate_fails = rate > LIPSCHITZ_BOUND
+    worst = {
+        "endpoint": endpoint.max(axis=1),
+        "normalization": normalization.max(axis=1),
+        "base-line drift": drift.max(axis=1),
+        "continuity": np.maximum.reduceat(rate.max(axis=(1, 2)), first[:-1]),
+    }
+    cases = 2 + samples + np.diff(first) * (samples - 1 + fine.size)
+    outcomes = [
+        VerificationOutcome("path", count, worst=dict(zip(worst, row)))
+        for count, row in zip(cases.tolist(), zip(*(values.tolist() for values in worst.values())))
+    ]
+
+    failing = (
+        endpoint_fails.any(axis=1)
+        | sample_fails.any(axis=(1, 2))
+        | np.logical_or.reduceat(rate_fails.any(axis=(1, 2)), first[:-1])
+    )
+    for p in np.flatnonzero(failing):
+        out = outcomes[p]
+        for j in np.flatnonzero(endpoint_fails[p]):
+            out.record(("t=0", "t=1")[j], "endpoint", float(endpoint[p, j]))
+        for i, j in np.argwhere(sample_fails[p]):
+            invariant, value = (("normalization", normalization), ("base-line drift", drift))[j]
+            out.record(f"t={t[i]:.6f}", invariant, float(value[p, i]))
+        for k, i, j in np.argwhere(rate_fails[first[p] : first[p + 1]]):
+            out.record(f"segment={k} u={u[i]:.6f}", "continuity", float(rate[first[p] + k, i, j]))
+    return outcomes
 
 
 # -- pair generation ------------------------------------------------------------
@@ -388,17 +422,24 @@ def check_paths_random(
     seed: int = DEFAULT_SEED,
     samples: int = 21,
 ) -> VerificationOutcome:
-    """Full path-invariant sweep over random and boundary pairs."""
+    """Full path-invariant sweep over random and boundary pairs.
+
+    One case per pair, each path checked as by :func:`check_path`, planned
+    and checked ``CHECK_CHUNK`` pairs at a time; ``worst`` holds the largest
+    value of each invariant over all paths.
+    """
     out = VerificationOutcome(f"paths(n={n})")
     rng = np.random.default_rng(seed)
     cases = [(f"random#{i}", *random_pair(rng, n)) for i in range(trials)]
     cases += [(f"boundary#{i}", x, y) for i, (x, y, _) in enumerate(boundary_pairs(n))]
-    for digest, x, y in cases:
-        path = plan(x, y)
-        sub = check_path(path, samples=samples)
-        out.cases += 1
-        for d, invariant, value in sub.failures:
-            out.record(f"{digest} {d}", invariant, value)
+    for lo in range(0, len(cases), CHECK_CHUNK):
+        chunk = cases[lo : lo + CHECK_CHUNK]
+        for (digest, _, _), sub in zip(chunk, _check_paths([plan(x, y) for _, x, y in chunk], samples)):
+            out.cases += 1
+            for d, invariant, value in sub.failures:
+                out.record(f"{digest} {d}", invariant, value)
+            for invariant, value in sub.worst.items():
+                out.worst[invariant] = max(out.worst.get(invariant, value), value)
     return out
 
 

@@ -237,6 +237,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "partition(n=1)" in out
 
+    def test_json_reports_worst_margins(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--n", "1", "--trials", "20", "--n-max", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        outcomes = {o["suite"]: o for o in json.loads(out)["outcomes"]}
+        assert outcomes["partition(n=1)"]["worst"] == {}
+        worst = outcomes["paths(n=1)"]["worst"]
+        assert sorted(worst) == ["base-line drift", "continuity", "endpoint", "normalization"]
+        assert 0.0 < worst["continuity"] < 2 * math.pi + 2
+
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PARAMTC_SEED", "911")
         code, out, _ = run(

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,9 +362,42 @@ class TestPlannedPath:
         with pytest.raises(ValueError):
             PlannedPath(0, z, path.segments, (0.0, 0.5), x, x)
 
+    def test_array_times_match_float_times(self):
+        z = random_rep(2)
+        x = random_point(z)
+        sigma = BundlePoint.section_point(z)
+        near = BundlePoint.from_fiber(z, -0.6 * np.exp(4e-5j), -0.8)
+        tilted = BundlePoint.from_fiber(z, 0.6, 0.8)
+        paths = [plan(x, random_point(z)), plan(x, x.antipode()), plan(sigma, sigma.antipode())]
+        paths.append(plan(tilted, near))
+        assert [len(p.segments) for p in paths] == [1, 3, 1, 4]
+        for path in paths:
+            t = RNG.permutation(np.concatenate([np.linspace(0.0, 1.0, 29), path.breakpoints]))
+            w, s = path.fiber_at(t)
+            assert w.shape == (t.size, 3) and s.shape == (t.size,)
+            for i, ti in enumerate(t.tolist()):
+                wi, si = path.fiber_at(ti)
+                assert np.array_equal(w[i], wi) and s[i] == si
+        with pytest.raises(ValueError):
+            paths[0].fiber_at(np.array([0.5, 1.5]))
+
     def test_sample_counts(self):
         z = random_rep(1)
         path = plan(random_point(z), random_point(z))
         assert len(path.sample(7)) == 7
         with pytest.raises(ValueError):
             path.sample(1)
+
+
+def test_planner_demo_script_runs_clean():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "planner_demo.py"), "--trials", "20"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "FAIL" not in result.stdout
+    assert "paths(n=3)" in result.stdout

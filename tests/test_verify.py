@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -10,7 +11,15 @@ import pytest
 from paramtc.planner import BundlePoint, PlannedPath, ProjectiveRep, plan
 from paramtc.ring import lh_power
 from paramtc.verify import (
+    BASE_DRIFT_TOL,
+    CHECK_CHUNK,
     DEFAULT_SEED,
+    ENDPOINT_TOL,
+    LIPSCHITZ_BOUND,
+    LIPSCHITZ_STEP,
+    NORM_DRIFT_TOL,
+    VerificationOutcome,
+    boundary_pairs,
     check_bounds_tables,
     check_lh_oracle,
     check_partition,
@@ -19,6 +28,8 @@ from paramtc.verify import (
     lh_rewrite_oracle,
     lh_to_dense,
     oracle_power,
+    random_pair,
+    _check_paths,
     _cpn_module,
 )
 
@@ -106,8 +117,6 @@ class TestRewriteOracle:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             lh_rewrite_oracle([[(1, "x")]], n=0)
-        with pytest.raises(ValueError):
-            lh_rewrite_oracle([[(1, "x")]], n=2, q=1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_module_powers(self, n):
@@ -141,6 +150,116 @@ class TestRewriteOracle:
         assert out.cases > 0
 
 
+def _rate(a, b, step):
+    (w0, s0), (w1, s1) = a, b
+    return math.hypot(float(np.linalg.norm(w1 - w0)), s1 - s0) / step
+
+
+def _scalar_check_path(path, samples):
+    """Reference: the checker's per-point loops, one scalar ``fiber_at`` per point.
+
+    Endpoints are measured on the fiber coordinates of the t = 0 and t = 1
+    samples, so a path that leaves the sphere or the line is recorded, not raised.
+    """
+    out = VerificationOutcome("path")
+
+    def measure(invariant, value):
+        out.worst[invariant] = max(out.worst.get(invariant, value), value)
+        return value
+
+    out.cases += 2
+    for t, point, digest in ((0.0, path.start, "t=0"), (1.0, path.end, "t=1")):
+        w, s = path.fiber_at(t)
+        d = measure("endpoint", math.hypot(float(np.linalg.norm(w - point.w)), s - point.s))
+        if d > ENDPOINT_TOL:
+            out.record(digest, "endpoint", d)
+
+    z0 = path.z.z
+    for i in range(samples):
+        t = i / (samples - 1)
+        w, s = path.fiber_at(t)
+        out.cases += 1
+        wn = float(np.linalg.norm(w))
+        norm = math.hypot(wn, s)
+        if measure("normalization", abs(norm - 1.0)) > NORM_DRIFT_TOL:
+            out.record(f"t={t:.6f}", "normalization", abs(norm - 1.0))
+        align = abs(complex(np.vdot(z0, w))) / wn if wn > 1e-6 else 1.0
+        measure("base-line drift", 1.0 - align)
+        if align < 1.0 - BASE_DRIFT_TOL:
+            out.record(f"t={t:.6f}", "base-line drift", 1.0 - align)
+
+    spacing = 1.0 / (samples - 1)
+    for k, segment in enumerate(path.segments):
+        grid = [segment.fiber_at(i * spacing) for i in range(samples)]
+        for i in range(samples):
+            u = i * spacing
+            rates = []
+            if i + 1 < samples:
+                rates.append(_rate(grid[i], grid[i + 1], spacing))
+            if u + LIPSCHITZ_STEP <= 1.0:
+                rates.append(_rate(grid[i], segment.fiber_at(u + LIPSCHITZ_STEP), LIPSCHITZ_STEP))
+            for rate in rates:
+                out.cases += 1
+                if measure("continuity", rate) > LIPSCHITZ_BOUND:
+                    out.record(f"segment={k} u={u:.6f}", "continuity", rate)
+    return out
+
+
+def _assert_same_outcome(got, expected):
+    """Equal cases and failure order; values to 1e-12 relative.
+
+    Normalization and base-line drift are differences from 1, taken after
+    sums the array checker orders differently, so they may also differ by a
+    few units in the last place of 1.0, hence the absolute 1e-15.
+    """
+    assert got.cases == expected.cases
+    assert [f[:2] for f in got.failures] == [f[:2] for f in expected.failures]
+    close = lambda value: pytest.approx(value, rel=1e-12, abs=1e-15)  # noqa: E731
+    assert [f[2] for f in got.failures] == [close(f[2]) for f in expected.failures]
+    assert got.worst == {k: close(v) for k, v in expected.worst.items()}
+
+
+def _corrupted(path, corrupt):
+    """``path`` with every segment's ``fiber_at`` passed through ``corrupt(u, w, s)``."""
+
+    class Corrupted:
+        def __init__(self, inner):
+            self.kind = inner.kind
+            self.inner = inner
+
+        def fiber_at(self, u):
+            return corrupt(u, *self.inner.fiber_at(u))
+
+    segments = [Corrupted(segment) for segment in path.segments]
+    return PlannedPath(path.piece, path.z, segments, path.breakpoints, path.start, path.end)
+
+
+def _sign_flip(u, w, s):
+    return w, np.where(u > 0.5, -s, s)
+
+
+def _norm_drift(u, w, s):
+    # |x| = 1 + 2e-9 sin(pi u): past NORM_DRIFT_TOL only for u in (1/6, 5/6)
+    scale = 1.0 + 2e-9 * np.sin(np.pi * u)
+    return w * np.expand_dims(scale, -1), s * scale
+
+
+def _fine_jump(u, w, s):
+    # a phase jump on (0.35005, 0.35015): no grid point at samples=21, one fine point
+    inside = (u > 0.35005) & (u < 0.35015)
+    return w * np.expand_dims(np.where(inside, np.exp(0.01j), 1.0), -1), s
+
+
+def _scaled_w(u, w, s):
+    return 1.01 * w, s
+
+
+def _pushed_off_line(u, w, s):
+    w = w.copy()
+    w[..., 0] += 1e-3 * u
+    return w, s
+
+
 class TestCheckPath:
     def _pair(self):
         z = ProjectiveRep.normalized(np.array([1.0, 0.5 + 0.25j, -0.25j]))
@@ -169,7 +288,7 @@ class TestCheckPath:
 
             def fiber_at(self, u):
                 w, s = self.inner.fiber_at(u)
-                return (w, -s) if u > 0.5 else (w, s)
+                return w, np.where(u > 0.5, -s, s)
 
         corrupted = PlannedPath(
             piece=path.piece,
@@ -182,6 +301,84 @@ class TestCheckPath:
         out = check_path(corrupted, samples=40)
         assert not out.passed
         assert any(invariant == "continuity" for _, invariant, _ in out.failures)
+
+
+    def test_path_off_the_sphere_is_recorded_not_raised(self):
+        x, y = self._pair()
+        out = check_path(_corrupted(plan(x, y), _scaled_w), samples=21)
+        invariants = {invariant for _, invariant, _ in out.failures}
+        assert {"endpoint", "normalization"} <= invariants
+        assert [d for d, invariant, _ in out.failures if invariant == "endpoint"] == ["t=0", "t=1"]
+
+    def test_path_off_the_line_is_recorded_not_raised(self):
+        x, y = self._pair()
+        out = check_path(_corrupted(plan(x, y), _pushed_off_line), samples=21)
+        failed = {(d, invariant) for d, invariant, _ in out.failures}
+        assert ("t=1", "endpoint") in failed
+        assert ("t=1.000000", "base-line drift") in failed
+
+    def test_worst_margins(self):
+        x, y = self._pair()
+        clean = check_paths_random(2, trials=100, samples=21)
+        assert clean.passed
+        assert clean.worst.keys() == {"endpoint", "normalization", "base-line drift", "continuity"}
+        assert clean.worst["endpoint"] <= ENDPOINT_TOL
+        assert clean.worst["normalization"] <= NORM_DRIFT_TOL
+        assert clean.worst["base-line drift"] <= BASE_DRIFT_TOL
+        assert 0.0 < clean.worst["continuity"] <= LIPSCHITZ_BOUND
+        out = check_path(_corrupted(plan(x, y), _sign_flip), samples=40)
+        assert out.worst["continuity"] == max(v for _, inv, v in out.failures if inv == "continuity")
+
+
+class TestArrayChecker:
+    """The array checker against the per-point reference ``_scalar_check_path``."""
+
+    CORRUPTIONS = [_sign_flip, _norm_drift, _fine_jump, _scaled_w, _pushed_off_line]
+
+    def _paths(self):
+        z = ProjectiveRep.normalized(np.array([1.0, 0.5 + 0.25j, -0.25j]))
+        x = BundlePoint.from_fiber(z, complex(0.48, 0.36), 0.8)
+        y = BundlePoint.from_fiber(z, complex(-0.6, 0.0), 0.8)
+        up, down = BundlePoint.section_point(z), BundlePoint.section_point(z, -1)
+        return [plan(x, y), plan(x, x.antipode()), plan(up, down)]
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+    def test_corrupted_paths_match_the_reference(self, corrupt):
+        for path in self._paths():
+            corrupted = _corrupted(path, corrupt)
+            expected = _scalar_check_path(corrupted, 21)
+            assert not expected.passed
+            _assert_same_outcome(check_path(corrupted, samples=21), expected)
+
+    def test_drift_and_jump_fire_where_intended(self):
+        path = self._paths()[0]
+        drift = check_path(_corrupted(path, _norm_drift), samples=21)
+        assert {d for d, _, _ in drift.failures} == {f"t={i / 20:.6f}" for i in range(4, 17)}
+        jump = check_path(_corrupted(path, _fine_jump), samples=21)
+        assert [f[:2] for f in jump.failures] == [("segment=0 u=0.350000", "continuity")]
+
+    def test_mixed_batch_matches_the_reference(self):
+        paths = self._paths()
+        batch = paths + [_corrupted(p, c) for c in self.CORRUPTIONS for p in paths] + paths
+        for got, path in zip(_check_paths(batch, 21), batch):
+            _assert_same_outcome(got, _scalar_check_path(path, 21))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_paths_random_matches_merged_reference(self, n):
+        trials = CHECK_CHUNK + 88  # two chunks
+        out = check_paths_random(n, trials=trials, seed=DEFAULT_SEED + n, samples=21)
+        rng = np.random.default_rng(DEFAULT_SEED + n)
+        cases = [(f"random#{i}", *random_pair(rng, n)) for i in range(trials)]
+        cases += [(f"boundary#{i}", x, y) for i, (x, y, _) in enumerate(boundary_pairs(n))]
+        expected = VerificationOutcome(out.suite)
+        for digest, x, y in cases:
+            sub = _scalar_check_path(plan(x, y), 21)
+            expected.cases += 1
+            for d, invariant, value in sub.failures:
+                expected.record(f"{digest} {d}", invariant, value)
+            for invariant, value in sub.worst.items():
+                expected.worst[invariant] = max(expected.worst.get(invariant, value), value)
+        _assert_same_outcome(out, expected)
 
 
 class TestCheckPartition:
