@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bundle import BundleDescriptor, DdotDescriptor, ddot_of
+from .bundle import BundleDescriptor, DdotDescriptor, ddot_of, family_bundle
 from .ring import Coefficients, RingElement, height, lh_height
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "tc_dimension_upper",
     "kernel_cuplength",
     "tc_split_upper",
+    "family_table",
     "NOTE_STRONGER",
 ]
 
@@ -346,3 +347,18 @@ def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
             b.add_upper("R8", _CITE_R8, tc_split_upper(s_ddot, tau_dot.lower))
 
     return b.build()
+
+
+def family_table(family: str, n_max: int) -> list[tuple[int, int, TCReport]]:
+    """The bound table of a bundle family over CP^1 ... CP^{n_max}.
+
+    Rows are ``(n, k, report)``: for ``k-eta`` the sectional category of the
+    sphere bundle for every n, k <= n_max, for the other families the
+    parametrized TC with k = 1.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    ns = range(1, n_max + 1)
+    if family == "k-eta":
+        return [(n, k, secat_sphere_bundle(family_bundle(family, n, k))) for n in ns for k in ns]
+    return [(n, 1, tc_sphere_bundle(family_bundle(family, n))) for n in ns]

@@ -31,6 +31,7 @@ from .ring import (
 )
 
 __all__ = [
+    "FAMILIES",
     "BaseSpace",
     "BundleDescriptor",
     "DdotDescriptor",
@@ -42,7 +43,11 @@ __all__ = [
     "k_fold_sum",
     "ddot_of",
     "ddot_euler_height",
+    "family_bundle",
 ]
+
+# the named bundle families over CP^n; the order is the CLI's choice order
+FAMILIES = ("k-eta", "eta", "eta-plus-eps")
 
 
 def _always_torsion_free(degree: int) -> bool:
@@ -249,6 +254,23 @@ def k_fold_sum(a: BundleDescriptor, k: int) -> BundleDescriptor:
     for _ in range(k - 1):
         out = whitney_sum(out, a)
     return out
+
+
+def family_bundle(family: str, n: int, k: int = 1) -> BundleDescriptor:
+    """The bundle a family name denotes over CP^n.
+
+    ``k-eta`` is the k-fold sum of the canonical line bundle eta, ``eta`` is
+    eta itself (the k = 1 member of ``k-eta``) and ``eta-plus-eps`` is eta
+    plus a trivial line.  ``k`` only applies to ``k-eta``.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family!r}")
+    if k != 1 and family != "k-eta":
+        raise ValueError(f"k applies only to the k-eta family, not {family}")
+    eta = canonical_line_bundle(cpn(n))
+    if family == "eta-plus-eps":
+        return whitney_sum(eta, trivial_bundle(eta.base, 1))
+    return k_fold_sum(eta, k)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .bounds import TCReport, secat_sphere_bundle, tc_sphere_bundle
+from .bounds import TCReport, family_table, secat_sphere_bundle, tc_sphere_bundle
 from .bundle import (
+    FAMILIES,
     BundleDescriptor,
     canonical_line_bundle,
     cpn,
-    k_fold_sum,
+    family_bundle,
     point,
     trivial_bundle,
     whitney_sum,
@@ -57,10 +58,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="compute a bound report")
-    p_bounds.add_argument("--family", choices=["k-eta", "eta", "eta-plus-eps"])
+    p_bounds.add_argument("--family", choices=FAMILIES)
     p_bounds.add_argument("--descriptor", help="path to a bundle descriptor JSON file")
     p_bounds.add_argument("--n", type=int, help="projective dimension of the base")
-    p_bounds.add_argument("--k", type=int, default=1, help="number of summed copies (k-eta)")
+    p_bounds.add_argument("--k", type=int, help="number of summed copies (k-eta only; default 1)")
     p_bounds.add_argument("--quantity", choices=["secat", "tc"])
     p_bounds.add_argument("--format", choices=["human", "json", "tsv"], default="human")
 
@@ -87,7 +88,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--format", choices=["human", "json"], default="human")
 
     p_table = sub.add_parser("table", help="emit a whole bound table")
-    p_table.add_argument("--family", choices=["k-eta", "eta", "eta-plus-eps"], required=True)
+    p_table.add_argument("--family", choices=FAMILIES, required=True)
     p_table.add_argument("--n-max", type=int, default=8)
     p_table.add_argument("--format", choices=["human", "json", "tsv"], default="human")
 
@@ -310,21 +311,16 @@ def _render_report(report: TCReport, fmt: str, heading: str, **params) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _family_bundle(family: str, n: int | None, k: int):
+def _family_bundle(family: str, n: int | None, k: int | None) -> BundleDescriptor:
     if n is None:
         raise UsageError("--n is required for bundle families")
     if n < 0:
         raise UsageError("--n must be non-negative")
-    if family == "k-eta":
-        if k < 1:
-            raise UsageError("--k must be a positive integer")
-        return k_fold_sum(canonical_line_bundle(cpn(n)), k)
-    if family == "eta":
-        return canonical_line_bundle(cpn(n))
-    if family == "eta-plus-eps":
-        base = cpn(n)
-        return whitney_sum(canonical_line_bundle(base), trivial_bundle(base, 1))
-    raise UsageError(f"unknown family: {family!r}")
+    if k is not None and family != "k-eta":
+        raise UsageError(f"--k applies only to the k-eta family, not {family}")
+    if k is not None and k < 1:
+        raise UsageError("--k must be a positive integer")
+    return family_bundle(family, n, 1 if k is None else k)
 
 
 def _cmd_bounds(args) -> int:
@@ -335,8 +331,10 @@ def _cmd_bounds(args) -> int:
         quantity = args.quantity or ("secat" if args.family == "k-eta" else "tc")
         params = {"family": args.family, "n": args.n}
         if args.family == "k-eta":
-            params["k"] = args.k
+            params["k"] = 1 if args.k is None else args.k
     else:
+        if args.n is not None or args.k is not None:
+            raise UsageError("--n and --k apply only to --family, not to --descriptor")
         bundle = load_descriptor(args.descriptor)
         quantity = args.quantity or "tc"
         params = {"descriptor": args.descriptor}
@@ -418,7 +416,7 @@ def _cmd_verify(args) -> int:
     if args.suite in ("all", "oracle"):
         outcomes.append(verify_mod.check_lh_oracle(args.n_max))
     if args.suite in ("all", "tables"):
-        outcomes.append(verify_mod.check_bounds_tables(max(args.n_max, 2)))
+        outcomes.append(verify_mod.check_bounds_tables(args.n_max))
     if args.suite in ("all", "partition"):
         outcomes.append(verify_mod.check_partition(args.n, trials=args.trials, seed=seed))
     if args.suite in ("all", "paths"):
@@ -456,21 +454,14 @@ def _cmd_verify(args) -> int:
 
 
 def _table_rows(family: str, n_max: int) -> tuple[list[str], list[list[str]]]:
-    rows = []
+    rows = family_table(family, n_max)
     if family == "k-eta":
-        header = ["n", "k", "secat"]
-        for n in range(1, n_max + 1):
-            eta = canonical_line_bundle(cpn(n))
-            for k in range(1, n_max + 1):
-                r = secat_sphere_bundle(k_fold_sum(eta, k))
-                rows.append([str(n), str(k), str(r.lower) if r.exact else "?"])
-        return header, rows
-    header = ["n", "lower", "upper", "exact"]
-    for n in range(1, n_max + 1):
-        bundle = _family_bundle(family, n, 1)
-        r = tc_sphere_bundle(bundle)
-        rows.append([str(n), str(r.lower), _format_bound(r.upper), str(r.exact).lower()])
-    return header, rows
+        return ["n", "k", "secat"], [
+            [str(n), str(k), str(r.lower) if r.exact else "?"] for n, k, r in rows
+        ]
+    return ["n", "lower", "upper", "exact"], [
+        [str(n), str(r.lower), _format_bound(r.upper), str(r.exact).lower()] for n, _, r in rows
+    ]
 
 
 def _cmd_table(args) -> int:

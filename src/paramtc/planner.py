@@ -108,11 +108,6 @@ class ProjectiveRep:
             raise ValueError("cannot normalise the zero vector")
         return cls(v / norm)
 
-    @property
-    def n(self) -> int:
-        """The projective dimension: vectors live in C^{n+1}."""
-        return self.z.size - 1
-
     def same_line(self, other: "ProjectiveRep", tol: float = _UNIT_TOL) -> bool:
         return abs(_hdot(self.z, other.z)) >= 1.0 - tol
 

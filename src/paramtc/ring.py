@@ -71,7 +71,7 @@ class CoefficientDomainError(ValueError):
 class Generator:
     """A polynomial generator with a degree and a nilpotency order.
 
-    ``truncation`` is the smallest power that vanishes: ``g**truncation == 0``.
+    ``truncation`` is the smallest power that vanishes: ``g^truncation == 0``.
     """
 
     name: str
@@ -187,15 +187,8 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def degrees(self) -> set[int]:
         return {self.ring.term_degree(e) for e in self.terms}
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms; ``None`` for the zero element."""
@@ -239,9 +232,6 @@ class RingElement:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "RingElement":
-        return power(self, k)
 
     # -- identity -----------------------------------------------------------
 
@@ -290,7 +280,7 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
 
 
 def power(a: RingElement, k: int) -> RingElement:
-    """k-th cup power; ``a**0`` is the unit."""
+    """k-th cup power; ``a^0`` is the unit."""
     if k < 0:
         raise ValueError("negative powers are not defined")
     result = a.ring.one()
@@ -300,7 +290,7 @@ def power(a: RingElement, k: int) -> RingElement:
 
 
 def height(a: RingElement) -> int:
-    """Largest k with ``a**k != 0``; zero for the zero class.
+    """Largest k with ``a^k != 0``; zero for the zero class.
 
     Defined only for homogeneous classes of positive degree (or zero); well
     defined because the ring is truncated, so powers eventually overshoot
@@ -409,9 +399,6 @@ class LHElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LHElement":
-        return lh_power(self, k)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LHElement):
             return NotImplemented
@@ -452,7 +439,7 @@ def lh_power(p: LHElement, k: int) -> LHElement:
 
 
 def lh_height(p: LHElement) -> int:
-    """Largest k with ``p**k != 0``; zero for the zero element."""
+    """Largest k with ``p^k != 0``; zero for the zero element."""
     if p.is_zero:
         return 0
     d = p.homogeneous_degree()

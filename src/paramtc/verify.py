@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import secat_sphere_bundle, tc_sphere_bundle
-from .bundle import canonical_line_bundle, cpn, k_fold_sum, trivial_bundle, whitney_sum
+from .bounds import family_table
+from .bundle import cpn
 from .planner import (
     BundlePoint,
     NotSameFiberError,
@@ -35,7 +35,7 @@ from .planner import (
     classify_pair,
     plan,
 )
-from .ring import LHElement, LHModule, RingDescriptor, Generator, lh_multiply
+from .ring import LHElement, LHModule, lh_multiply
 
 __all__ = [
     "DEFAULT_SEED",
@@ -165,7 +165,7 @@ def lh_to_dense(p: LHElement, n: int) -> tuple[list[int], list[int]]:
 
 
 def _cpn_module(n: int) -> LHModule:
-    ring = RingDescriptor((Generator("x", 2, n + 1),))
+    ring = cpn(n).ring
     return LHModule(ring, ring.generator("x"), 2)
 
 
@@ -451,28 +451,16 @@ def check_bounds_tables(n_max: int = 8) -> VerificationOutcome:
 
     secat of the k-fold sum of the canonical line bundle over CP^n is
     floor(n/k); fiberwise TC of the canonical circle bundle is 1; fiberwise
-    TC of (canonical + trivial) is n + 2 for even n.
+    TC of (canonical + trivial) is n + 2 for even n.  Odd-n rows of the last
+    table have no pinned value and are not counted.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    tables = [(f"secat k={k} n={n}", n // k, r) for n, k, r in family_table("k-eta", n_max)]
+    tables += [(f"tc-circle n={n}", 1, r) for n, _, r in family_table("eta", n_max)]
+    split = family_table("eta-plus-eps", n_max)
+    tables += [(f"tc-split n={n}", n + 2, r) for n, _, r in split if n % 2 == 0]
     out = VerificationOutcome(f"bounds-tables(n_max={n_max})")
-    for n in range(1, n_max + 1):
-        eta = canonical_line_bundle(cpn(n))
-        for k in range(1, n_max + 1):
-            out.cases += 1
-            r = secat_sphere_bundle(k_fold_sum(eta, k))
-            if not (r.exact and r.lower == n // k):
-                out.record(f"secat k={k} n={n}", f"expected exact {n // k}", f"[{r.lower}, {r.upper}]")
-
+    for digest, value, r in tables:
         out.cases += 1
-        r = tc_sphere_bundle(eta)
-        if not (r.exact and r.lower == 1):
-            out.record(f"tc-circle n={n}", "expected exact 1", f"[{r.lower}, {r.upper}]")
-
-        if n % 2 == 0:
-            out.cases += 1
-            xi = whitney_sum(eta, trivial_bundle(cpn(n), 1))
-            r = tc_sphere_bundle(xi)
-            if not (r.exact and r.lower == n + 2):
-                out.record(f"tc-split n={n}", f"expected exact {n + 2}", f"[{r.lower}, {r.upper}]")
+        if not (r.exact and r.lower == value):
+            out.record(digest, f"expected exact {value}", f"[{r.lower}, {r.upper}]")
     return out

@@ -11,6 +11,7 @@ from paramtc.bounds import (
     NOTE_STRONGER,
     Quantity,
     TCReport,
+    family_table,
     kernel_cuplength,
     secat_sphere_bundle,
     tc_dimension_upper,
@@ -18,9 +19,11 @@ from paramtc.bounds import (
     tc_split_upper,
 )
 from paramtc.bundle import (
+    FAMILIES,
     BundleDescriptor,
     canonical_line_bundle,
     cpn,
+    family_bundle,
     k_fold_sum,
     trivial_bundle,
     whitney_sum,
@@ -230,6 +233,39 @@ class TestSplitUpper:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             tc_split_upper(-1, 0)
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_match_the_constructions(self, family):
+        if family == "k-eta":
+            expected = [
+                (n, k, secat_sphere_bundle(k_fold_sum(eta(n), k)))
+                for n in range(1, 11)
+                for k in range(1, 11)
+            ]
+        else:
+            build = eta if family == "eta" else eta_plus_eps
+            expected = [(n, 1, tc_sphere_bundle(build(n))) for n in range(1, 11)]
+        rows = family_table(family, 10)
+        assert [(n, k, r.to_dict()) for n, k, r in rows] == [
+            (n, k, r.to_dict()) for n, k, r in expected
+        ]
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            family_bundle("moebius", 2)
+        with pytest.raises(ValueError, match="unknown family"):
+            family_table("moebius", 2)
+
+    def test_k_applies_only_to_k_eta(self):
+        assert family_bundle("k-eta", 3, 2) == k_fold_sum(eta(3), 2)
+        with pytest.raises(ValueError, match="k-eta"):
+            family_bundle("eta", 3, 2)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            family_table("eta", 0)
 
 
 class TestReportPlumbing:

@@ -98,6 +98,20 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--family", "moebius", "--n", "1")
         assert code == 1
         assert "error:" in err
+        assert "(choose from 'k-eta', 'eta', 'eta-plus-eps')" in err
+
+    def test_k_defaults_to_one(self, capsys):
+        _, implicit, _ = run(capsys, "bounds", "--family", "k-eta", "--n", "3", "--format", "tsv")
+        _, explicit, _ = run(
+            capsys, "bounds", "--family", "k-eta", "--n", "3", "--k", "1", "--format", "tsv"
+        )
+        assert implicit == explicit
+        assert implicit.splitlines()[0].split("\t")[:3] == ["family", "k", "n"]
+
+    def test_k_zero_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "bounds", "--family", "k-eta", "--n", "3", "--k", "0")
+        assert code == 1
+        assert err == "error: --k must be a positive integer\n"
 
     def test_missing_n_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bounds", "--family", "eta")
@@ -230,6 +244,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
+    def test_tables_suite_runs_n_max_one(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "tables", "--n-max", "1")
+        assert code == 0
+        # secat of eta and TC of eta over CP^1; odd-n eta + eps rows are not pinned
+        assert "bounds-tables(n_max=1): 2 cases, 0 failures - PASS" in out
+
     def test_partition_suite_small(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "partition", "--n", "1", "--trials", "50"
@@ -282,6 +302,56 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+# `paramtc table --format tsv` at n_max = 5, one space per tab
+TABLE_TSV_N_MAX_5 = {
+    "k-eta": """\
+n k secat
+1 1 1
+1 2 0
+1 3 0
+1 4 0
+1 5 0
+2 1 2
+2 2 1
+2 3 0
+2 4 0
+2 5 0
+3 1 3
+3 2 1
+3 3 1
+3 4 0
+3 5 0
+4 1 4
+4 2 2
+4 3 1
+4 4 1
+4 5 0
+5 1 5
+5 2 2
+5 3 1
+5 4 1
+5 5 1
+""",
+    "eta": """\
+n lower upper exact
+1 1 1 true
+2 1 1 true
+3 1 1 true
+4 1 1 true
+5 1 1 true
+""",
+    # odd n: R5 pins n + 1, inside the stated interval [n + 1, n + 2]
+    "eta-plus-eps": """\
+n lower upper exact
+1 2 2 true
+2 4 4 true
+3 4 4 true
+4 6 6 true
+5 6 6 true
+""",
+}
+
+
 class TestTable:
     def test_tsv_shape(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "k-eta", "--n-max", "3", "--format", "tsv")
@@ -304,6 +374,12 @@ class TestTable:
         _, out, _ = run(capsys, "table", "--family", "eta", "--n-max", "5", "--format", "json")
         for cell in json.loads(out):
             assert cell["lower"] == "1" and cell["exact"] == "true"
+
+    @pytest.mark.parametrize("family", sorted(TABLE_TSV_N_MAX_5))
+    def test_tsv_at_n_max_5(self, capsys, family):
+        code, out, _ = run(capsys, "table", "--family", family, "--n-max", "5", "--format", "tsv")
+        assert code == 0
+        assert out == TABLE_TSV_N_MAX_5[family].replace(" ", "\t")
 
 
 def _descriptor(base_n=2, rank=1, flags=None):
@@ -348,6 +424,10 @@ BAD_INPUT_PROBES = {
     "verify-n-max-0": ["verify", "--suite", "oracle", "--n-max", "0"],
     "verify-n-max-negative": ["verify", "--suite", "oracle", "--n-max", "-3"],
     "verify-trials-negative": ["verify", "--suite", "partition", "--n", "1", "--trials", "-5"],
+    "bounds-k-with-eta": ["bounds", "--family", "eta", "--n", "2", "--k", "1"],
+    "bounds-k-with-eta-plus-eps": ["bounds", "--family", "eta-plus-eps", "--n", "2", "--k", "9"],
+    "bounds-n-with-descriptor": ["bounds", "--descriptor", _descriptor(), "--n", "7"],
+    "bounds-k-with-descriptor": ["bounds", "--descriptor", _descriptor(), "--k", "4"],
     "descriptor-sum-600": ["bounds", "--descriptor", _nested_sums(600)],
     "descriptor-sum-1500": ["bounds", "--descriptor", _nested_sums(1500)],
     "pair-nested-2000": ["plan", "--pair", '{"x": ' + "[" * 2000 + "]" * 2000 + "}"],
