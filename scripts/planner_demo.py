@@ -24,9 +24,8 @@ def show(path, label: str) -> None:
     )
     print(f"{label}: piece {path.piece}")
     print(f"  segments: {segs}")
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        p = path.at(t)
-        print(f"  t={t:.2f}  s={p.s:+.6f}  |w|={p.w_norm:.6f}")
+    for i, p in enumerate(path.sample(5)):
+        print(f"  t={i / 4:.2f}  s={p.s:+.6f}  |w|={p.w_norm:.6f}")
     outcome = check_path(path, samples=50)
     print(f"  invariants: {outcome.summary()}")
 

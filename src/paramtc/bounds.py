@@ -57,6 +57,8 @@ __all__ = [
     "tc_dimension_upper",
     "kernel_cuplength",
     "tc_split_upper",
+    "QUANTITIES",
+    "default_quantity",
     "family_table",
     "NOTE_STRONGER",
 ]
@@ -315,7 +317,7 @@ def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
     if d.euler_ddot is not None:
         h2 = lh_height(d.euler_ddot)
         b.add_lower("R2", _CITE_R2, h2 + 1)
-        complement_h = height(d.euler_ddot.euler_eta)
+        complement_h = kernel_cuplength(q, euler_eta=d.euler_ddot.euler_eta)[0] - 1
         upgraded = complement_h % 2 == 0 and xi.base.torsion_free((q - 1) * complement_h)
         b.add_lower("R3", _CITE_R3, complement_h + (2 if upgraded else 1))
 
@@ -349,16 +351,23 @@ def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
     return b.build()
 
 
+QUANTITIES = {"secat": secat_sphere_bundle, "tc": tc_sphere_bundle}
+
+
+def default_quantity(family: str | None) -> str:
+    """The quantity bounded when none is named: secat for ``k-eta``, else TC."""
+    return "secat" if family == "k-eta" else "tc"
+
+
 def family_table(family: str, n_max: int) -> list[tuple[int, int, TCReport]]:
     """The bound table of a bundle family over CP^1 ... CP^{n_max}.
 
-    Rows are ``(n, k, report)``: for ``k-eta`` the sectional category of the
-    sphere bundle for every n, k <= n_max, for the other families the
-    parametrized TC with k = 1.
+    Rows are ``(n, k, report)`` with the family's :func:`default_quantity`:
+    every n, k <= n_max for ``k-eta``, k = 1 for the other families.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ns = range(1, n_max + 1)
-    if family == "k-eta":
-        return [(n, k, secat_sphere_bundle(family_bundle(family, n, k))) for n in ns for k in ns]
-    return [(n, 1, tc_sphere_bundle(family_bundle(family, n))) for n in ns]
+    ks = ns if family == "k-eta" else (1,)
+    report = QUANTITIES[default_quantity(family)]
+    return [(n, k, report(family_bundle(family, n, k))) for n in ns for k in ks]

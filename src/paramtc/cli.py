@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .bounds import TCReport, family_table, secat_sphere_bundle, tc_sphere_bundle
+from .bounds import QUANTITIES, TCReport, default_quantity, family_table
 from .bundle import (
     FAMILIES,
     BundleDescriptor,
@@ -36,7 +36,7 @@ from .bundle import (
     trivial_bundle,
     whitney_sum,
 )
-from .planner import BundlePoint, ProjectiveRep, TOL_ANTI, TOL_CELL, plan, plan_hopf
+from .planner import BundlePoint, ProjectiveRep, TOL_ANTI, TOL_ANTI_MIN, TOL_CELL, plan, plan_hopf
 
 __all__ = ["execute", "main", "UsageError"]
 
@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     p_bounds.add_argument("--descriptor", help="path to a bundle descriptor JSON file")
     p_bounds.add_argument("--n", type=int, help="projective dimension of the base")
     p_bounds.add_argument("--k", type=int, help="number of summed copies (k-eta only; default 1)")
-    p_bounds.add_argument("--quantity", choices=["secat", "tc"])
+    p_bounds.add_argument("--quantity", choices=QUANTITIES)
     p_bounds.add_argument("--format", choices=["human", "json", "tsv"], default="human")
 
     p_plan = sub.add_parser("plan", help="run a planner query")
@@ -328,7 +328,6 @@ def _cmd_bounds(args) -> int:
         raise UsageError("give exactly one of --family or --descriptor")
     if args.family is not None:
         bundle = _family_bundle(args.family, args.n, args.k)
-        quantity = args.quantity or ("secat" if args.family == "k-eta" else "tc")
         params = {"family": args.family, "n": args.n}
         if args.family == "k-eta":
             params["k"] = 1 if args.k is None else args.k
@@ -336,9 +335,9 @@ def _cmd_bounds(args) -> int:
         if args.n is not None or args.k is not None:
             raise UsageError("--n and --k apply only to --family, not to --descriptor")
         bundle = load_descriptor(args.descriptor)
-        quantity = args.quantity or "tc"
         params = {"descriptor": args.descriptor}
-    report = secat_sphere_bundle(bundle) if quantity == "secat" else tc_sphere_bundle(bundle)
+    quantity = args.quantity or default_quantity(args.family)
+    report = QUANTITIES[quantity](bundle)
     label = "sectional category" if quantity == "secat" else "parametrized TC"
     heading = f"{label} of the unit sphere bundle ({', '.join(f'{k}={v}' for k, v in params.items())})"
     print(_render_report(report, args.format, heading, quantity=quantity, **params))
@@ -348,9 +347,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_plan(args) -> int:
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
-    for flag, tol in (("--tol-anti", args.tol_anti), ("--tol-cell", args.tol_cell)):
-        if not 0.0 <= tol < 1.0:  # also false for NaN
-            raise UsageError(f"{flag} must be a number in [0, 1)")
+    anti_floor = 0.0 if args.family == "hopf" else TOL_ANTI_MIN  # plan_hopf is well-conditioned at 0
+    ranges = (("--tol-anti", args.tol_anti, anti_floor), ("--tol-cell", args.tol_cell, 0.0))
+    for flag, tol, floor in ranges:
+        if not floor <= tol < 1.0:  # also false for NaN
+            raise UsageError(f"{flag} must be a number in [{floor:g}, 1)")
     pair = _load_pair(args.pair, args.family, args.n)
     try:
         if args.family == "hopf":
@@ -360,11 +361,10 @@ def _cmd_plan(args) -> int:
     except ValueError as exc:
         raise UsageError(f"cannot plan this pair: {exc}") from exc
 
-    ts = [i / (args.samples - 1) for i in range(args.samples)]
-    samples = []
-    for t in ts:
-        p = path.at(t)
-        samples.append({"t": t, "w": _complex_vector_to_json(p.w), "s": p.s})
+    samples = [
+        {"t": i / (args.samples - 1), "w": _complex_vector_to_json(p.w), "s": p.s}
+        for i, p in enumerate(path.sample(args.samples))
+    ]
     segments = [
         {"kind": seg.kind, "t0": path.breakpoints[i], "t1": path.breakpoints[i + 1]}
         for i, seg in enumerate(path.segments)

@@ -38,6 +38,7 @@ import numpy as np
 __all__ = [
     "TOL_ANTI",
     "TOL_CELL",
+    "TOL_ANTI_MIN",
     "ProjectiveRep",
     "BundlePoint",
     "PlannedPath",
@@ -56,6 +57,10 @@ __all__ = [
 # snap segment absorbing the resulting endpoint slack
 TOL_ANTI = 1e-8
 TOL_CELL = 1e-10
+# smallest tol_anti plan accepts: a piece-0 pair this close to antipodal has a
+# geodesic direction y - <x, y> x of norm ~sqrt(2 tol_anti), mostly rounding noise
+# once tol_anti <= 1e-13, where such paths left the line; 1e-10 keeps 3 decades.
+TOL_ANTI_MIN = 1e-10
 
 _SNAP_EPS = 1e-12
 _UNIT_TOL = 1e-9
@@ -261,16 +266,12 @@ class ArcSegment:
     def fiber_at(self, u):
         """Fiber coordinates ``(w, s)`` at local time ``u``.
 
-        ``u`` is a float, or a 1-D array of local times giving one row of
-        ``w`` and one entry of ``s`` per time.
+        ``u`` is a float, or an array of local times giving one row of ``w``
+        and one entry of ``s`` per time.
         """
         a = u * self.angle
-        if isinstance(a, np.ndarray):
-            c, s = np.cos(a), np.sin(a)
-            cw, sw = c[:, np.newaxis], s[:, np.newaxis]
-        else:
-            c, s = cw, sw = math.cos(a), math.sin(a)
-        return cw * self.wp + sw * self.wd, c * self.sp + s * self.sd
+        c, s = np.cos(a), np.sin(a)
+        return np.multiply.outer(c, self.wp) + np.multiply.outer(s, self.wd), c * self.sp + s * self.sd
 
 
 def _geodesic(start: tuple[np.ndarray, float], end: tuple[np.ndarray, float]) -> ArcSegment:
@@ -298,10 +299,9 @@ class PlannedPath:
 
     ``segments`` partition global time at ``breakpoints``; each segment is
     evaluated in its own unit-time parametrization through its
-    ``fiber_at(u)``, which takes a float ``u`` and returns ``(w, s)``, or a
-    1-D array of times and returns one row of ``w`` and one entry of ``s``
-    per time.  The path carries the piece index of the partition that
-    produced it.
+    ``fiber_at(u)``, which takes a 1-D array of local times and returns one
+    row of ``w`` and one entry of ``s`` per time.  The path carries the
+    piece index of the partition that produced it.
     """
 
     __slots__ = ("piece", "z", "segments", "breakpoints", "start", "end")
@@ -326,39 +326,26 @@ class PlannedPath:
         self.start = start
         self.end = end
 
-    @property
-    def endpoints(self) -> tuple[BundlePoint, BundlePoint]:
-        return self.start, self.end
-
-    def segment_index(self, t: float) -> int:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
-        for i in range(len(self.segments) - 1, -1, -1):
-            if t >= self.breakpoints[i]:
-                return i
-        return 0
-
     def fiber_at(self, t):
-        """Fiber coordinates at global time ``t``, a float or a 1-D array of times.
+        """Fiber coordinates at global time ``t``, a float or an array of times.
 
-        An array is split by the rule of :meth:`segment_index`, and each
-        segment is evaluated once on all of its times.
+        Each time belongs to the segment whose half-open interval
+        ``[t0, t1)`` holds it (t = 1 to the last), and each segment is
+        evaluated once on all of its times.  A float ``t`` gives one ``w``
+        and a scalar ``s``.
         """
-        if not isinstance(t, np.ndarray):
-            i = self.segment_index(t)
-            t0, t1 = self.breakpoints[i], self.breakpoints[i + 1]
-            return self.segments[i].fiber_at((t - t0) / (t1 - t0))
+        t = np.asarray(t, dtype=float)
         if not ((0.0 <= t) & (t <= 1.0)).all():
             raise ValueError("t must lie in [0, 1]")
         breaks = np.array(self.breakpoints)
         index = np.searchsorted(breaks[1:-1], t, side="right")
         u = (t - breaks[index]) / (breaks[index + 1] - breaks[index])
-        w = np.empty((t.size, self.z.z.size), dtype=complex)
-        s = np.empty(t.size)
+        w = np.empty(t.shape + self.z.z.shape, dtype=complex)
+        s = np.empty(t.shape)
         for i, segment in enumerate(self.segments):
             on = index == i
             w[on], s[on] = segment.fiber_at(u[on])
-        return w, s
+        return w, s[()]
 
     def at(self, t: float) -> BundlePoint:
         w, s = self.fiber_at(t)
@@ -368,19 +355,12 @@ class PlannedPath:
         """Evaluate at ``count`` uniformly spaced times including both ends."""
         if count < 2:
             raise ValueError("need at least two samples")
-        return [self.at(i / (count - 1)) for i in range(count)]
+        w, s = self.fiber_at(np.arange(count) / (count - 1))
+        return [BundlePoint(self.z, wi, si) for wi, si in zip(w, s)]
 
     def __repr__(self) -> str:
         kinds = ", ".join(seg.kind for seg in self.segments)
         return f"PlannedPath(piece={self.piece}, segments=[{kinds}])"
-
-
-def _uniform_breakpoints(k: int) -> list[float]:
-    return [i / k for i in range(k)] + [1.0]
-
-
-def _coords(p: BundlePoint) -> tuple[np.ndarray, float]:
-    return p.w, p.s
 
 
 def plan(
@@ -393,10 +373,13 @@ def plan(
 
     Pairs routed to an antipodal piece whose y is not exactly -x get a final
     short interpolation segment snapping the endpoint onto y, so endpoint
-    exactness survives the classification tolerance.
+    exactness survives the classification tolerance.  ``tol_anti`` below
+    :data:`TOL_ANTI_MIN` raises ``ValueError``.
     """
+    if not tol_anti >= TOL_ANTI_MIN:  # also true for NaN
+        raise ValueError(f"tol_anti must be at least {TOL_ANTI_MIN:g}, got {tol_anti}")
     piece = classify_pair(x, y, tol_anti, tol_cell)
-    p, q = _coords(x), _coords(y)
+    p, q = (x.w, x.s), (y.w, y.s)
 
     if piece == 0:
         segments = [_geodesic(p, q)]
@@ -422,7 +405,7 @@ def plan(
         piece=piece,
         z=x.z,
         segments=segments,
-        breakpoints=_uniform_breakpoints(len(segments)),
+        breakpoints=[i / len(segments) for i in range(len(segments))] + [1.0],
         start=x,
         end=y,
     )
@@ -433,7 +416,7 @@ def _snap_segment(x: BundlePoint, y: BundlePoint) -> list:
     dw = float(np.linalg.norm(anti[0] - y.w))
     if math.hypot(dw, anti[1] - y.s) <= _SNAP_EPS:
         return []
-    return [_geodesic(anti, _coords(y))]
+    return [_geodesic(anti, (y.w, y.s))]
 
 
 def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:

@@ -253,9 +253,9 @@ def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[Verificatio
     # path samples [path, t]: endpoints, normalization, base line
     w, s = map(np.stack, zip(*(path.fiber_at(t) for path in paths)))
     endpoint = np.empty((len(paths), 2))
-    for j, index in enumerate((0, -1)):
-        ends = [path.endpoints[j] for path in paths]
-        gap_w, gap_s = w[:, index] - np.stack([p.w for p in ends]), s[:, index] - [p.s for p in ends]
+    ends = ([path.start for path in paths], [path.end for path in paths])
+    for j, (index, points) in enumerate(zip((0, -1), ends)):
+        gap_w, gap_s = w[:, index] - np.stack([p.w for p in points]), s[:, index] - [p.s for p in points]
         endpoint[:, j] = _fiber_gap(gap_w, gap_s)
     wn = np.linalg.norm(w, axis=-1)
     normalization = np.abs(np.hypot(wn, s) - 1.0)

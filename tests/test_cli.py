@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from paramtc.bounds import TCReport
 from paramtc.cli import UsageError, execute, load_descriptor
+from paramtc.planner import plan, plan_hopf
 from paramtc.verify import VerificationOutcome
 import paramtc.cli as cli_mod
 
@@ -175,6 +177,63 @@ class TestDescriptorLoading:
             load_descriptor(doc)
 
 
+# one pair per kind of plan over the line of (0.6, 0.8i) in C^2, with the
+# literal `plan --format tsv --samples 5` output (columns split at spaces)
+_Z = [[0.6, 0.0], [0.0, 0.8]]
+_X = {"z": _Z, "w": [[0.36, 0.0], [0.0, 0.48]], "s": 0.8}
+PLAN_TSV_SAMPLES_5 = {
+    "piece-0": (
+        "eta-plus-eps",
+        {"x": _X, "y": {"z": _Z, "w": [[0.6, 0.0], [0.0, 0.8]], "s": 0.0}},
+        """\
+t s w
+0.000000 0.8 0.36,0;0,0.48
+0.250000 0.640747439246 0.460651038071,0;0,0.614201384095
+0.500000 0.4472135955 0.5366563146,0;0,0.7155417528
+0.750000 0.229752920547 0.583949393681,0;0,0.778599191574
+1.000000 1.66533453694e-16 0.6,0;0,0.8
+""",
+    ),
+    # y is -x turned by 1e-5 rad in phase: piece 1, ended by a snap segment
+    "piece-1-snap": (
+        "eta-plus-eps",
+        {"x": _X, "y": {"z": _Z, "w": [[-0.36, 6e-06], [-8e-06, -0.48]], "s": -0.8}},
+        """\
+t s w
+0.000000 0.8 0.36,0;0,0.48
+0.250000 0 0.6,0;0,0.8
+0.500000 0 -0.6,0;0,-0.8
+0.750000 -0.8 -0.36,0;0,-0.48
+1.000000 -0.79999999996 -0.359999999982,5.9999999997e-06;-7.9999999996e-06,-0.479999999976
+""",
+    ),
+    "pole": (
+        "eta-plus-eps",
+        {"x": {"z": _Z, "w": [[0.0, 0.0]] * 2, "s": 1.0}, "y": {"z": _Z, "w": [[0.0, 0.0]] * 2, "s": -1.0}},
+        """\
+t s w
+0.000000 1 0,0;0,0
+0.250000 0.707106781187 0,-0.424264068712;0.565685424949,0
+0.500000 6.12323399574e-17 0,-0.6;0.8,0
+0.750000 -0.707106781187 0,-0.424264068712;0.565685424949,0
+1.000000 -1 0,-7.34788079488e-17;9.79717439318e-17,0
+""",
+    ),
+    "hopf": (
+        "hopf",
+        {"z": _Z, "z2": [[0.0, 0.6], [-0.8, 0.0]]},
+        """\
+t s w
+0.000000 0 0.6,0;0,0.8
+0.250000 0 0.554327719507,0.229610059419;-0.306146745892,0.739103626009
+0.500000 0 0.424264068712,0.424264068712;-0.565685424949,0.565685424949
+0.750000 0 0.229610059419,0.554327719507;-0.739103626009,0.306146745892
+1.000000 0 3.67394039744e-17,0.6;-0.8,4.89858719659e-17
+""",
+    ),
+}
+
+
 class TestPlan:
     def test_equal_endpoints_inline(self, capsys):
         code, out, _ = run(capsys, "plan", "--family", "eta-plus-eps", "--n", "2", "--pair", _pair_json())
@@ -236,6 +295,37 @@ class TestPlan:
         code, _, err = run(capsys, "plan", "--n", "3", "--pair", _pair_json(n=2))
         assert code == 1
         assert "C^4" in err
+
+    @pytest.mark.parametrize("kind", sorted(PLAN_TSV_SAMPLES_5))
+    def test_tsv_at_five_samples(self, capsys, kind):
+        family, pair, expected = PLAN_TSV_SAMPLES_5[kind]
+        argv = ["plan", "--family", family, "--pair", json.dumps(pair), "--samples", "5"]
+        code, out, _ = run(capsys, *argv, "--format", "tsv")
+        assert code == 0
+        assert out == expected.replace(" ", "\t")
+
+    @pytest.mark.parametrize("kind", sorted(PLAN_TSV_SAMPLES_5))
+    def test_json_samples_are_the_path_on_the_grid(self, capsys, kind):
+        family, pair, _ = PLAN_TSV_SAMPLES_5[kind]
+        argv = ["plan", "--family", family, "--pair", json.dumps(pair), "--samples", "9"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        samples = json.loads(out)["samples"]
+        planner = plan_hopf if family == "hopf" else plan
+        grid = np.arange(9) / 8
+        w, s = planner(*cli_mod._load_pair(json.dumps(pair), family, None)).fiber_at(grid)
+        # bit for bit, signed zeros included
+        assert np.array([e["t"] for e in samples]).tobytes() == grid.tobytes()
+        assert np.array([e["s"] for e in samples]).tobytes() == s.tobytes()
+        got_w = np.array([[complex(re, im) for re, im in e["w"]] for e in samples])
+        assert got_w.tobytes() == w.tobytes()
+
+    def test_hopf_accepts_tol_anti_zero(self, capsys):
+        _, pair, _ = PLAN_TSV_SAMPLES_5["hopf"]
+        argv = ["plan", "--family", "hopf", "--pair", json.dumps(pair), "--tol-anti", "0"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "piece: 0" in out
 
 
 class TestVerifyCommand:
@@ -398,6 +488,13 @@ def _pair_with(**changes):
     return json.dumps({"x": x, "y": x})
 
 
+def _antipodes(c, s):
+    """x = (c z, s) and its exact antipode, z the line of (0.6, 0.8i)."""
+    x = {"z": _Z, "w": [[0.6 * c, 0.0], [0.0, 0.8 * c]], "s": s}
+    y = {"z": _Z, "w": [[-0.6 * c, 0.0], [0.0, -0.8 * c]], "s": -s}
+    return json.dumps({"x": x, "y": y})
+
+
 # every probe is bad input that must be refused with exit 1, never a traceback
 BAD_INPUT_PROBES = {
     "nan-in-w": ["plan", "--pair", _pair_with(w=[[math.nan, 0.0], [0.0, 0.0]])],
@@ -414,6 +511,10 @@ BAD_INPUT_PROBES = {
     "tol-anti-inf": ["plan", "--pair", _pair_with(), "--tol-anti", "inf"],
     "tol-cell-negative": ["plan", "--pair", _pair_with(), "--tol-cell", "-1e-10"],
     "tol-anti-one": ["plan", "--pair", _pair_with(), "--tol-anti", "1"],
+    # fiber_inner of these exact antipodes rounds above -1: at tol 0 the pair
+    # counts as piece 0, and its geodesic leaves the line of z
+    "tol-anti-zero": ["plan", "--pair", _antipodes(0.7, math.sqrt(1 - 0.7 * 0.7)), "--tol-anti", "0"],
+    "tol-anti-below-floor": ["plan", "--pair", _pair_with(), "--tol-anti", "1e-11"],
     "bool-n": ["bounds", "--descriptor", _descriptor(base_n=True)],
     "bool-rank": ["bounds", "--descriptor", _descriptor(rank=True)],
     "bool-sections": ["bounds", "--descriptor", _descriptor(flags={"independent_sections": True})],

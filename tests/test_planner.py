@@ -13,6 +13,7 @@ import pytest
 
 from paramtc.planner import (
     TOL_ANTI,
+    TOL_ANTI_MIN,
     BundlePoint,
     DegenerateRepresentativeError,
     NotSameFiberError,
@@ -352,6 +353,34 @@ def test_off_pole_antipodes_keep_the_speed_bound(n, j):
                     assert path.piece == (1 if r > TOL_ANTI else 2 + j)
                     outcome = check_path(path, samples=21)
                     assert outcome.passed, (r, sign, phase, outcome.failures[:3])
+
+
+def test_tol_anti_floor():
+    """At TOL_ANTI_MIN exact and near antipodes plan cleanly; below it plan refuses."""
+    for n in (1, 3, 6):
+        z = random_rep(n)
+        for _ in range(40):
+            p = RNG.standard_normal(3)
+            p /= np.linalg.norm(p)
+            v = RNG.standard_normal(3)
+            v -= (v @ p) * p
+            v /= np.linalg.norm(v)
+            x = BundlePoint.from_fiber(z, complex(p[0], p[1]), p[2])
+            targets = [x.antipode()]
+            # -p turned towards v by angles either side of the piece-0 threshold,
+            # where <x, y> = -cos(angle) crosses -1 + TOL_ANTI_MIN
+            for factor in (0.9, 0.999, 1.001, 1.01, 1.1, 2.0):
+                angle = factor * math.sqrt(2 * TOL_ANTI_MIN)
+                q = -math.cos(angle) * p + math.sin(angle) * v
+                targets.append(BundlePoint.from_fiber(z, complex(q[0], q[1]), q[2]))
+            for y in targets:
+                path = plan(x, y, tol_anti=TOL_ANTI_MIN)
+                outcome = check_path(path, samples=21)
+                assert outcome.passed, (n, outcome.failures[:3])
+                assert len(path.sample(9)) == 9  # validated points, as plan prints them
+    for tol in (0.0, 1e-13, TOL_ANTI_MIN / 2, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            plan(x, x.antipode(), tol_anti=tol)
 
 
 class TestPlannedPath:
