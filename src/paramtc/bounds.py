@@ -317,7 +317,7 @@ def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
     if d.euler_ddot is not None:
         h2 = lh_height(d.euler_ddot)
         b.add_lower("R2", _CITE_R2, h2 + 1)
-        complement_h = kernel_cuplength(q, euler_eta=d.euler_ddot.euler_eta)[0] - 1
+        complement_h = kernel_cuplength(q, euler_eta=d.euler_ddot.module.euler_eta)[0] - 1
         upgraded = complement_h % 2 == 0 and xi.base.torsion_free((q - 1) * complement_h)
         b.add_lower("R3", _CITE_R3, complement_h + (2 if upgraded else 1))
 

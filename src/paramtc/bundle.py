@@ -323,7 +323,7 @@ def ddot_euler_height(d: DdotDescriptor) -> int:
     """
     if d.euler_ddot is None:
         raise ValueError("no symbolic Euler class is available for this bundle")
-    h = height(d.euler_ddot.euler_eta)
+    h = height(d.euler_ddot.module.euler_eta)
     q = d.parent.rank
     if h % 2 == 0 and d.parent.base.torsion_free((q - 1) * h):
         return h + 1

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .bounds import QUANTITIES, TCReport, default_quantity, family_table
+from .bounds import QUANTITIES, ContradictionError, TCReport, default_quantity, family_table
 from .bundle import (
     FAMILIES,
     BundleDescriptor,
@@ -337,7 +337,10 @@ def _cmd_bounds(args) -> int:
         bundle = load_descriptor(args.descriptor)
         params = {"descriptor": args.descriptor}
     quantity = args.quantity or default_quantity(args.family)
-    report = QUANTITIES[quantity](bundle)
+    try:
+        report = QUANTITIES[quantity](bundle)
+    except (ContradictionError, ValueError) as exc:  # the engine refuses this bundle
+        raise UsageError(f"cannot bound this bundle: {exc}") from exc
     label = "sectional category" if quantity == "secat" else "parametrized TC"
     heading = f"{label} of the unit sphere bundle ({', '.join(f'{k}={v}' for k, v in params.items())})"
     print(_render_report(report, args.format, heading, quantity=quantity, **params))

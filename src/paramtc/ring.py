@@ -12,14 +12,17 @@ rest of the package computes in, most importantly
 and its mod-2 shadow.
 
 On top of the ring sits a rank-two free module with basis ``{1, U}``
-(:class:`LHElement`), modelling the cohomology of a unit sphere bundle that
+(:class:`LHModule`), modelling the cohomology of a unit sphere bundle that
 admits a section: every class is uniquely ``a + b*U`` with ``a, b`` pulled
 back from the base, and multiplication is closed by the single relation
 
     U * U = e * U,
 
 where ``e`` is the Euler class of the bundle of vectors orthogonal to the
-section.  All values are immutable; all operations are pure functions.
+section.  The module owns ``e`` and ``deg U`` and checks them once; each
+element (:class:`LHElement`) belongs to one module.  Powers and heights run
+one loop each, shared by ring and module.  All values are immutable; all
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -279,14 +282,37 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(a.ring, out)
 
 
-def power(a: RingElement, k: int) -> RingElement:
-    """k-th cup power; ``a^0`` is the unit."""
+def _power(one, a, k: int, multiply):
+    """``a^k`` as ``k`` products ``multiply(acc, a)``, starting from ``one``."""
     if k < 0:
         raise ValueError("negative powers are not defined")
-    result = a.ring.one()
+    result = one
     for _ in range(k):
-        result = cup(result, a)
+        result = multiply(result, a)
     return result
+
+
+def _height(a, multiply) -> int:
+    """Largest k with ``a^k != 0``, multiplying in ``a`` until the product dies.
+
+    The one height loop, shared by :func:`height` and :func:`lh_height`.
+    """
+    if a.is_zero:
+        return 0
+    d = a.homogeneous_degree()
+    if d is None or d <= 0:
+        raise HomogeneityError("height requires positive degree")
+    k = 1
+    acc = multiply(a, a)
+    while not acc.is_zero:
+        k += 1
+        acc = multiply(acc, a)
+    return k
+
+
+def power(a: RingElement, k: int) -> RingElement:
+    """k-th cup power; ``a^0`` is the unit."""
+    return _power(a.ring.one(), a, k, cup)
 
 
 def height(a: RingElement) -> int:
@@ -296,19 +322,7 @@ def height(a: RingElement) -> int:
     defined because the ring is truncated, so powers eventually overshoot
     the top degree.
     """
-    if a.is_zero:
-        return 0
-    d = a.homogeneous_degree()
-    if d is None or d <= 0:
-        raise HomogeneityError("height requires positive degree")
-    k = 1
-    acc = a
-    while True:
-        nxt = cup(acc, a)
-        if nxt.is_zero:
-            return k
-        acc = nxt
-        k += 1
+    return _height(a, cup)
 
 
 def mod2_reduce(a: RingElement) -> RingElement:
@@ -319,35 +333,22 @@ def mod2_reduce(a: RingElement) -> RingElement:
 
 
 class LHElement:
-    """A class ``base + fiber*U`` in the rank-two module over a base ring.
+    """A class ``base + fiber*U`` of one rank-two module.
 
-    ``euler_eta`` parameterises the multiplication (``U*U = euler_eta*U``)
-    and ``u_degree`` is the degree of ``U``.  The representation in the
-    basis ``{1, U}`` is unique, so equality is componentwise.
+    ``module`` (an :class:`LHModule`) fixes the multiplication and the
+    degree of ``U``; ``base`` and ``fiber`` live in its ring.  The
+    representation in the basis ``{1, U}`` is unique, so equality is
+    componentwise.
     """
 
-    __slots__ = ("base", "fiber", "euler_eta", "u_degree")
+    __slots__ = ("module", "base", "fiber")
 
-    def __init__(
-        self,
-        base: RingElement,
-        fiber: RingElement,
-        euler_eta: RingElement,
-        u_degree: int,
-    ):
-        if base.ring != fiber.ring or base.ring != euler_eta.ring:
-            raise RingMismatchError("base, fiber and euler_eta must share one ring")
-        if u_degree < 1:
-            raise ValueError("u_degree must be >= 1")
-        d = euler_eta.homogeneous_degree()
-        if d is not None and d != u_degree:
-            raise ValueError(
-                f"euler_eta has degree {d}, expected u_degree {u_degree}"
-            )
+    def __init__(self, module: "LHModule", base: RingElement, fiber: RingElement):
+        if base.ring != module.ring or fiber.ring != module.ring:
+            raise RingMismatchError("base and fiber must live in the module's ring")
+        object.__setattr__(self, "module", module)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "euler_eta", euler_eta)
-        object.__setattr__(self, "u_degree", u_degree)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("LHElement is immutable")
@@ -357,7 +358,7 @@ class LHElement:
         return self.base.is_zero and self.fiber.is_zero
 
     def homogeneous_degree(self) -> int | None:
-        """Total degree if homogeneous (``deg base == deg fiber + u_degree``)."""
+        """Total degree if homogeneous (``deg base == deg fiber + deg U``)."""
         db = self.base.homogeneous_degree()
         df = self.fiber.homogeneous_degree()
         if db is None and df is None:
@@ -365,34 +366,30 @@ class LHElement:
         if df is None:
             return db
         if db is None:
-            return df + self.u_degree
-        if db != df + self.u_degree:
+            return df + self.module.u_degree
+        if db != df + self.module.u_degree:
             raise HomogeneityError(
-                f"mixed degrees: base {db}, fiber {df} + U-degree {self.u_degree}"
+                f"mixed degrees: base {db}, fiber {df} + U-degree {self.module.u_degree}"
             )
         return db
 
     def _check_compatible(self, other: "LHElement") -> None:
-        if (
-            self.base.ring != other.base.ring
-            or self.euler_eta != other.euler_eta
-            or self.u_degree != other.u_degree
-        ):
+        if self.module != other.module:
             raise RingMismatchError("operands live in different rank-two modules")
 
     def __add__(self, other: "LHElement") -> "LHElement":
         self._check_compatible(other)
-        return LHElement(self.base + other.base, self.fiber + other.fiber, self.euler_eta, self.u_degree)
+        return LHElement(self.module, self.base + other.base, self.fiber + other.fiber)
 
     def __sub__(self, other: "LHElement") -> "LHElement":
         return self + (-other)
 
     def __neg__(self) -> "LHElement":
-        return LHElement(-self.base, -self.fiber, self.euler_eta, self.u_degree)
+        return LHElement(self.module, -self.base, -self.fiber)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LHElement(self.base * other, self.fiber * other, self.euler_eta, self.u_degree)
+            return LHElement(self.module, self.base * other, self.fiber * other)
         if isinstance(other, LHElement):
             return lh_multiply(self, other)
         return NotImplemented
@@ -402,15 +399,10 @@ class LHElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LHElement):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.fiber == other.fiber
-            and self.euler_eta == other.euler_eta
-            and self.u_degree == other.u_degree
-        )
+        return self.module == other.module and self.base == other.base and self.fiber == other.fiber
 
     def __hash__(self) -> int:
-        return hash((self.base, self.fiber, self.euler_eta, self.u_degree))
+        return hash((self.module, self.base, self.fiber))
 
     def __repr__(self) -> str:
         return f"({self.base!r}) + ({self.fiber!r})*U"
@@ -422,49 +414,45 @@ def lh_multiply(p: LHElement, q: LHElement) -> LHElement:
     ``(a + b*U)(a' + b'*U) = a*a' + (a*b' + a'*b + b*b'*e)*U``.
     """
     p._check_compatible(q)
-    e = p.euler_eta
+    e = p.module.euler_eta
     base = cup(p.base, q.base)
     fiber = cup(p.base, q.fiber) + cup(q.base, p.fiber) + cup(cup(p.fiber, q.fiber), e)
-    return LHElement(base, fiber, e, p.u_degree)
+    return LHElement(p.module, base, fiber)
 
 
 def lh_power(p: LHElement, k: int) -> LHElement:
-    if k < 0:
-        raise ValueError("negative powers are not defined")
-    module = LHModule(p.base.ring, p.euler_eta, p.u_degree)
-    result = module.one()
-    for _ in range(k):
-        result = lh_multiply(result, p)
-    return result
+    """k-th power in the module; ``p^0`` is the unit."""
+    return _power(p.module.one(), p, k, lh_multiply)
 
 
 def lh_height(p: LHElement) -> int:
     """Largest k with ``p^k != 0``; zero for the zero element."""
-    if p.is_zero:
-        return 0
-    d = p.homogeneous_degree()
-    if d is None or d <= 0:
-        raise HomogeneityError("height requires positive degree")
-    k = 1
-    acc = p
-    while True:
-        nxt = lh_multiply(acc, p)
-        if nxt.is_zero:
-            return k
-        acc = nxt
-        k += 1
+    return _height(p, lh_multiply)
 
 
 @dataclass(frozen=True)
 class LHModule:
-    """Factory for elements of one rank-two module (fixed ring, ``e``, ``deg U``)."""
+    """One rank-two module: its ring, ``e = euler_eta`` in ``U*U = e*U``, and ``deg U``.
+
+    The parameters are checked once, here; every :class:`LHElement` refers
+    to its module, and two elements combine only when their modules are equal.
+    """
 
     ring: RingDescriptor
     euler_eta: RingElement
     u_degree: int
 
+    def __post_init__(self) -> None:
+        if self.euler_eta.ring != self.ring:
+            raise RingMismatchError("euler_eta must live in the module's ring")
+        if self.u_degree < 1:
+            raise ValueError("u_degree must be >= 1")
+        d = self.euler_eta.homogeneous_degree()
+        if d is not None and d != self.u_degree:
+            raise ValueError(f"euler_eta has degree {d}, expected u_degree {self.u_degree}")
+
     def element(self, base: RingElement, fiber: RingElement) -> LHElement:
-        return LHElement(base, fiber, self.euler_eta, self.u_degree)
+        return LHElement(self, base, fiber)
 
     def zero(self) -> LHElement:
         return self.element(self.ring.zero(), self.ring.zero())

@@ -145,7 +145,7 @@ class TestDdot:
         x = ring.generator("x")
         assert m.base == -x
         assert m.fiber == ring.scalar(2)
-        assert m.u_degree == 2
+        assert m.module.u_degree == 2
         assert d.secat_ddot_hint is None
 
     def test_complex_structure_hint(self):

@@ -532,6 +532,13 @@ BAD_INPUT_PROBES = {
     "descriptor-sum-600": ["bounds", "--descriptor", _nested_sums(600)],
     "descriptor-sum-1500": ["bounds", "--descriptor", _nested_sums(1500)],
     "pair-nested-2000": ["plan", "--pair", '{"x": ' + "[" * 2000 + "]" * 2000 + "}"],
+    # the bound engine refuses these bundles: contradictory flags, rank below 2
+    "bounds-conflicting-exact": [
+        "bounds", "--quantity", "secat", "--descriptor",
+        '{"base": {"family": "CPn", "n": 1}, "construction": {"op": "canonical"}, "flags": {"independent_sections": 2}}',
+    ],
+    "bounds-empty-interval": ["bounds", "--descriptor", _descriptor(2, 1, {"independent_sections": 2})],
+    "bounds-rank-1": ["bounds", "--descriptor", '{"base": {"family": "point"}, "construction": {"op": "trivial", "rank": 1}}'],
 }
 
 

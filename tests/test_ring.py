@@ -164,6 +164,17 @@ class TestLHMultiply:
             lh_multiply(a, b)
 
 
+class TestLHModule:
+    def test_parameters_checked_at_construction(self):
+        r = cpn_ring(3)
+        with pytest.raises(ValueError, match="degree"):
+            LHModule(r, r.element({(2,): 1}), 2)  # deg e = 4 != deg U
+        with pytest.raises(RingMismatchError):
+            LHModule(r, cpn_ring(4).generator("x"), 2)
+        with pytest.raises(ValueError, match="u_degree"):
+            LHModule(r, r.zero(), 0)
+
+
 class TestLHHeight:
     def test_kernel_generator_over_cp3(self):
         # height of U - x over CP^3 is n + 1 = 4
@@ -285,6 +296,59 @@ def test_height_characterisation(n, exp, coeff):
         assert power(a, k + 1).is_zero
         degree = a.homogeneous_degree()
         assert k <= ring.top_degree() // degree
+
+
+@st.composite
+def homogeneous_ring_elements(draw):
+    """A homogeneous class of positive degree, zero included, in a one- or two-generator ring."""
+    mod2 = draw(st.booleans())
+    gens = tuple(
+        Generator(f"g{i}", draw(st.sampled_from([1, 2, 3] if mod2 else [2, 4])), draw(st.integers(1, 4)))
+        for i in range(draw(st.integers(1, 2)))
+    )
+    ring = RingDescriptor(gens, Coefficients.MOD2 if mod2 else Coefficients.INTEGER)
+    degree = draw(st.integers(1, ring.top_degree() + 1))
+    exps = [e for e in itertools.product(*(range(g.truncation) for g in gens)) if ring.term_degree(e) == degree]
+    return ring.element({e: draw(st.integers(-3, 3)) for e in exps})
+
+
+@st.composite
+def homogeneous_module_elements(draw):
+    """A homogeneous class of positive degree over CP^n with e = x^j or e = 0 and deg U = 2j."""
+    n, j = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    ring = cpn_ring(n)
+    if draw(st.booleans()):
+        ring = ring.mod2_shadow()
+    e = ring.element({(j,): 1}) if draw(st.booleans()) else ring.zero()
+    m = LHModule(ring, e, 2 * j)
+    half = draw(st.integers(1, n + j + 1))  # total degree 2 * half
+    fiber = ring.element({(half - j,): draw(st.integers(-3, 3))}) if half >= j else ring.zero()
+    return m.element(ring.element({(half,): draw(st.integers(-3, 3))}), fiber)
+
+
+def _repeated_product_count(a, multiply) -> int:
+    count, acc = 0, a
+    while not acc.is_zero:
+        count, acc = count + 1, multiply(acc, a)
+    return count
+
+
+@pytest.mark.parametrize(
+    "elements, power_, height_, multiply",
+    [
+        (homogeneous_ring_elements(), power, height, cup),
+        (homogeneous_module_elements(), lh_power, lh_height, lh_multiply),
+    ],
+    ids=["ring", "module"],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_height_and_power_characterise_each_other(elements, power_, height_, multiply, data):
+    a = data.draw(elements)
+    h = height_(a)
+    assert not power_(a, h).is_zero
+    assert power_(a, h + 1).is_zero
+    assert h == _repeated_product_count(a, multiply)
 
 
 def test_lh_bilinearity_sample():
