@@ -37,6 +37,30 @@ Parametrized-TC rules (fiberwise planning on the sphere bundle):
         complement-secat and sphere-secat are both known:
         TC <= secat(tau-complement) + secat(tau-sphere) + 2; in particular
         two independent nowhere-zero sections give TC <= 2.
+
+Derivation of R5.  Write E' -> B for the sphere bundle (fiber S^{q-1}) and
+E'' -> E' for the complement sphere bundle: over a unit vector v, the unit
+vectors orthogonal to v, a sphere S^{q-2} of the oriented rank-(q-1) bundle
+whose Euler class is the module element of R2, with height h2.  R5 applies
+Schwarz's genus (join) obstruction (A. S. Schwarz, "The genus of a fiber
+space", 1966) to E'' -> E', whose base has dimension dim B + q - 1:
+
+1. secat(E'' -> E') <= m exactly when the fiberwise join of m + 1 copies
+   of E'' has a section.  That join is the sphere bundle of the
+   (m + 1)-fold Whitney sum, with fiber S^{N-1}, N = (m + 1)(q - 1).
+2. S^{N-1} is (N - 2)-connected, so the first obstruction to a section
+   lies in H^N(E') and is the Euler class of the sum, the (m + 1)-st power
+   of the Euler class of R2.  For m = h2 that power is zero.
+3. Every later obstruction lies in degree N + 1 or above, so all vanish
+   when dim B + q - 1 <= (h2 + 1)(q - 1), that is dim B <= (q - 1) h2.
+4. Then secat(E'' -> E') <= h2, R4 gives TC <= h2 + 1, and this meets
+   R2's lower bound TC >= h2 + 1.
+
+For eta + eps over CP^n (q = 3, dim B = 2n) the height h2 is n + 1 for
+even n and n for odd n, so R5 always applies.  At odd n the rules that do
+not rest on this dimension argument (R3, R6, R8) leave [n + 1, n + 2]; the
+exact value n + 1 comes from steps 1-4, through R4's upper bound and R5,
+which is why those reports carry ``NOTE_STRONGER``.
 """
 
 from __future__ import annotations

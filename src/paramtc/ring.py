@@ -21,8 +21,11 @@ back from the base, and multiplication is closed by the single relation
 where ``e`` is the Euler class of the bundle of vectors orthogonal to the
 section.  The module owns ``e`` and ``deg U`` and checks them once; each
 element (:class:`LHElement`) belongs to one module.  Powers and heights run
-one loop each, shared by ring and module.  All values are immutable; all
-operations are pure functions.
+one loop each, shared by ring and module.  A height costs O(log h) products:
+nilpotence is monotone (``a^k == 0`` implies ``a^(k+1) == 0``) and degrees
+are capped by the top degree, so repeated squaring and a greedy descent
+find it as exponentiation by squaring finds a power.  All values are
+immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -292,21 +295,38 @@ def _power(one, a, k: int, multiply):
     return result
 
 
-def _height(a, multiply) -> int:
-    """Largest k with ``a^k != 0``, multiplying in ``a`` until the product dies.
+def _height(a, multiply, top: int) -> int:
+    """Largest k with ``a^k != 0``, by squaring and a greedy descent.
 
     The one height loop, shared by :func:`height` and :func:`lh_height`.
+    ``top`` is the largest degree of a nonzero element, so ``a^k == 0``
+    once ``k * deg a > top``.  Nilpotence is monotone (``a^k == 0`` implies
+    ``a^(k+1) == 0``), so the powers that survive are exactly ``a^1 ... a^h``
+    and ``h`` can be found bit by bit: square ``a, a^2, a^4, ...`` while the
+    square survives, which fixes the top bit of ``h``, then descend through
+    the lower bits, keeping a stored square in the accumulator whenever the
+    product survives.  This costs at most ``2 * h.bit_length()`` products
+    instead of ``h`` (exponentiation by squaring, Knuth, TAOCP vol. 2,
+    section 4.6.3).  Both the degree cap and the zero check are needed:
+    squares can die below ``top``, over Z/2 or in two-generator rings.
     """
     if a.is_zero:
         return 0
     d = a.homogeneous_degree()
     if d is None or d <= 0:
         raise HomogeneityError("height requires positive degree")
-    k = 1
-    acc = multiply(a, a)
-    while not acc.is_zero:
-        k += 1
-        acc = multiply(acc, a)
+    squares = [a]  # squares[i] == a^(2^i), all nonzero
+    while 2 ** len(squares) * d <= top:
+        square = multiply(squares[-1], squares[-1])
+        if square.is_zero:
+            break
+        squares.append(square)
+    k, acc = 2 ** (len(squares) - 1), squares.pop()
+    for i in reversed(range(len(squares))):
+        if (k + 2**i) * d <= top:
+            product = multiply(acc, squares[i])
+            if not product.is_zero:
+                k, acc = k + 2**i, product
     return k
 
 
@@ -320,9 +340,10 @@ def height(a: RingElement) -> int:
 
     Defined only for homogeneous classes of positive degree (or zero); well
     defined because the ring is truncated, so powers eventually overshoot
-    the top degree.
+    the top degree.  Costs O(log h) products: repeated squares up to the top
+    degree, then a greedy descent (see :func:`_height`).
     """
-    return _height(a, cup)
+    return _height(a, cup, a.ring.top_degree())
 
 
 def mod2_reduce(a: RingElement) -> RingElement:
@@ -427,7 +448,7 @@ def lh_power(p: LHElement, k: int) -> LHElement:
 
 def lh_height(p: LHElement) -> int:
     """Largest k with ``p^k != 0``; zero for the zero element."""
-    return _height(p, lh_multiply)
+    return _height(p, lh_multiply, p.module.ring.top_degree() + p.module.u_degree)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import family_table
+from .bounds import NOTE_STRONGER, family_table
 from .bundle import cpn
 from .planner import (
     BundlePoint,
@@ -444,16 +444,21 @@ def check_bounds_tables(n_max: int = 8) -> VerificationOutcome:
 
     secat of the k-fold sum of the canonical line bundle over CP^n is
     floor(n/k); fiberwise TC of the canonical circle bundle is 1; fiberwise
-    TC of (canonical + trivial) is n + 2 for even n.  Odd-n rows of the last
-    table have no pinned value and are not counted.
+    TC of (canonical + trivial) is n + 2 for even n and n + 1 for odd n.
+    The odd-n value rests on the dimension argument behind R5 (derived in
+    :mod:`paramtc.bounds`), so those rows, and only those, must carry
+    :data:`~paramtc.bounds.NOTE_STRONGER`; a wrong note is recorded as its
+    own invariant.
     """
-    tables = [(f"secat k={k} n={n}", n // k, r) for n, k, r in family_table("k-eta", n_max)]
-    tables += [(f"tc-circle n={n}", 1, r) for n, _, r in family_table("eta", n_max)]
+    tables = [(f"secat k={k} n={n}", n // k, False, r) for n, k, r in family_table("k-eta", n_max)]
+    tables += [(f"tc-circle n={n}", 1, False, r) for n, _, r in family_table("eta", n_max)]
     split = family_table("eta-plus-eps", n_max)
-    tables += [(f"tc-split n={n}", n + 2, r) for n, _, r in split if n % 2 == 0]
+    tables += [(f"tc-split n={n}", n + 2 - n % 2, n % 2 == 1, r) for n, _, r in split]
     out = VerificationOutcome(f"bounds-tables(n_max={n_max})")
-    for digest, value, r in tables:
+    for digest, value, stronger, r in tables:
         out.cases += 1
         if not (r.exact and r.lower == value):
             out.record(digest, f"expected exact {value}", f"[{r.lower}, {r.upper}]")
+        if (NOTE_STRONGER in r.notes) != stronger:
+            out.record(digest, "NOTE_STRONGER", "missing" if stronger else "unexpected")
     return out

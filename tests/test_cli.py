@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from paramtc.bounds import TCReport
+from paramtc.bounds import NOTE_STRONGER, TCReport
 from paramtc.cli import UsageError, execute, load_descriptor
 from paramtc.planner import plan, plan_hopf
 from paramtc.verify import VerificationOutcome
@@ -77,6 +77,26 @@ class TestBounds:
         header, row = out.strip().splitlines()
         assert header.split("\t")[-3:] == ["lower", "upper", "exact"]
         assert row.split("\t")[-3:] == ["1", "1", "true"]
+
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (("--family", "eta-plus-eps", "--n", "1024"), "eta-plus-eps\t1024\ttc\t1026\t1026\ttrue"),
+            (("--family", "eta-plus-eps", "--n", "1023"), "eta-plus-eps\t1023\ttc\t1024\t1024\ttrue"),
+            (("--family", "k-eta", "--n", "1000", "--k", "3"), "k-eta\t3\t1000\tsecat\t333\t333\ttrue"),
+        ],
+    )
+    def test_closed_forms_at_scale(self, capsys, argv, row):
+        code, out, _ = run(capsys, "bounds", *argv, "--format", "tsv")
+        assert code == 0
+        assert out.splitlines()[1] == row
+
+    def test_odd_n_at_scale_carries_the_stronger_note(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--family", "eta-plus-eps", "--n", "1023", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["notes"] == [NOTE_STRONGER]
 
     def test_descriptor_file(self, capsys, tmp_path):
         path = tmp_path / "bundle.json"
@@ -337,8 +357,8 @@ class TestVerifyCommand:
     def test_tables_suite_runs_n_max_one(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "tables", "--n-max", "1")
         assert code == 0
-        # secat of eta and TC of eta over CP^1; odd-n eta + eps rows are not pinned
-        assert "bounds-tables(n_max=1): 2 cases, 0 failures - PASS" in out
+        # secat of eta, TC of eta and TC of eta + eps (pinned at n + 1 = 2) over CP^1
+        assert "bounds-tables(n_max=1): 3 cases, 0 failures - PASS" in out
 
     def test_partition_suite_small(self, capsys):
         code, out, _ = run(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramtc.bundle import ddot_euler_height, ddot_of, family_bundle
 from paramtc.ring import (
     Coefficients,
     CoefficientDomainError,
@@ -23,6 +24,7 @@ from paramtc.ring import (
     lh_power,
     mod2_reduce,
     power,
+    _height,
 )
 
 
@@ -349,6 +351,80 @@ def test_height_and_power_characterise_each_other(elements, power_, height_, mul
     assert not power_(a, h).is_zero
     assert power_(a, h + 1).is_zero
     assert h == _repeated_product_count(a, multiply)
+
+
+# n = 2^m - 1, 2^m, 2^m + 1 for m = 1 ... 9: every bit length of a height up to 513
+BIT_BOUNDARIES = sorted({2**m + j for m in range(1, 10) for j in (-1, 0, 1)})
+
+
+class TestHeightAtBitBoundaries:
+    """The logarithmic height against the linear reference, at every descent branch."""
+
+    @pytest.mark.parametrize("n", BIT_BOUNDARIES)
+    def test_ring_powers_of_x(self, n):
+        for ring in (cpn_ring(n), cpn_ring(n).mod2_shadow()):
+            for k in (1, 2, 3):
+                a = ring.element({(k,): 1})
+                assert height(a) == n // k == _repeated_product_count(a, cup)
+
+    @pytest.mark.parametrize("n", BIT_BOUNDARIES)
+    def test_kernel_generator(self, n):
+        m = lh_cpn(n)
+        x0 = m.u() - m.from_base(m.ring.generator("x"))
+        assert lh_height(x0) == n + 1 == _repeated_product_count(x0, lh_multiply)
+
+    @pytest.mark.parametrize("n", BIT_BOUNDARIES)
+    def test_complement_euler_class(self, n):
+        d = ddot_of(family_bundle("eta-plus-eps", n))
+        h = lh_height(d.euler_ddot)
+        assert h == ddot_euler_height(d) == _repeated_product_count(d.euler_ddot, lh_multiply)
+
+    def test_nilpotent_at_once(self):
+        two_gens = RingDescriptor((Generator("g0", 2, 2), Generator("g1", 4, 2)))
+        # g0^2 dies below the top degree: the zero check, not the cap, stops the squaring
+        early = RingDescriptor((Generator("g0", 2, 2), Generator("g1", 2, 4)))
+        cases = [
+            (cpn_ring(1).generator("x"), 1),
+            (cup(two_gens.generator("g0"), two_gens.generator("g1")), 1),
+            (early.generator("g0"), 1),
+            (cpn_ring(3).mod2_shadow().element({(1,): 2}), 0),
+        ]
+        for a, h in cases:
+            assert height(a) == h == _repeated_product_count(a, cup)
+
+
+def _counting(multiply):
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return multiply(p, q)
+
+    return counted, calls
+
+
+GUARD_NS = sorted(set(range(1, 1025, 37)) | set(BIT_BOUNDARIES))
+
+
+class TestHeightProductCount:
+    """At most 2 * h.bit_length() products per height, counted, not timed."""
+
+    def test_generator_over_cpn(self):
+        for n in GUARD_NS:
+            ring = cpn_ring(n)
+            counted, calls = _counting(cup)
+            h = _height(ring.generator("x"), counted, ring.top_degree())
+            assert h == n
+            assert calls[0] <= 2 * h.bit_length(), n
+
+    def test_complement_euler_class(self):
+        # -x + 2U in the module of the complement bundle of eta + eps over CP^n
+        for n in GUARD_NS:
+            p = ddot_of(family_bundle("eta-plus-eps", n)).euler_ddot
+            counted, calls = _counting(lh_multiply)
+            h = _height(p, counted, p.module.ring.top_degree() + p.module.u_degree)
+            assert h == (n + 1 if n % 2 == 0 else n)
+            assert calls[0] <= 2 * h.bit_length(), n
 
 
 def test_lh_bilinearity_sample():

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import paramtc.verify as verify_mod
 from paramtc.planner import BundlePoint, PlannedPath, ProjectiveRep, plan
 from paramtc.ring import lh_power
 from paramtc.verify import (
@@ -405,7 +407,18 @@ class TestCheckBoundsTables:
     def test_full_table_passes(self):
         out = check_bounds_tables(8)
         assert out.passed
-        assert out.cases == 8 * 8 + 8 + 4
+        assert out.cases == 8 * 8 + 8 + 8
+
+    def test_missing_note_is_a_recorded_failure(self, monkeypatch):
+        real = verify_mod.family_table
+
+        def without_notes(family, n_max):
+            return [(n, k, replace(r, notes=())) for n, k, r in real(family, n_max)]
+
+        monkeypatch.setattr(verify_mod, "family_table", without_notes)
+        out = check_bounds_tables(3)
+        assert out.cases == 3 * 3 + 3 + 3
+        assert out.failures == [(f"tc-split n={n}", "NOTE_STRONGER", "missing") for n in (1, 3)]
 
     def test_summary_format(self):
         out = check_bounds_tables(2)
