@@ -1,11 +1,13 @@
 """Vector-bundle descriptors and the constructions the bound engine consumes.
 
 A :class:`BundleDescriptor` records what is known about a metric vector
-bundle: base space, rank, orientability, Euler class, total Stiefel-Whitney
-class and a handful of declared structural facts (complex structure,
-trivial summands, independent nowhere-zero sections).  Structural flags are
-declared inputs, not verified -- checking them is a hard topology problem
-this package does not attempt.  Descriptors are immutable and constructions
+bundle: base space, rank, Euler class (present exactly when the bundle is
+orientable), total Stiefel-Whitney class and a handful of declared
+structural facts (complex structure, trivial summands, independent
+nowhere-zero sections).  Declared sections are checked against the
+characteristic classes they force to vanish; beyond that the structural
+flags are not verified -- deciding them is a hard topology problem this
+package does not attempt.  Descriptors are immutable and constructions
 (:func:`whitney_sum`, :func:`k_fold_sum`, :func:`ddot_of`) are pure.
 
 The base ring is assumed to be a faithful free model of the integral
@@ -67,7 +69,6 @@ class BaseSpace:
     family: str
     ring: RingDescriptor
     dimension: int
-    param: int | None = None
     torsion_free: Callable[[int], bool] = field(default=_always_torsion_free, compare=False)
 
     def __post_init__(self) -> None:
@@ -91,7 +92,7 @@ def cpn(n: int) -> BaseSpace:
     if n < 0:
         raise ValueError("n must be non-negative")
     ring = RingDescriptor((Generator("x", 2, n + 1),))
-    return BaseSpace("CPn", ring, 2 * n, param=n)
+    return BaseSpace("CPn", ring, 2 * n)
 
 
 def point() -> BaseSpace:
@@ -102,7 +103,11 @@ def point() -> BaseSpace:
 class BundleDescriptor:
     """A metric vector bundle, described by characteristic data and flags.
 
-    ``euler`` is present exactly when the bundle is declared orientable.
+    The bundle is orientable exactly when ``euler`` is present.  s
+    independent nowhere-zero sections, or s trivial summands, split off a
+    trivial rank-s subbundle, so s >= 1 forces a vanishing Euler class and
+    the Stiefel-Whitney classes above degree rank - s vanish; the
+    constructor refuses declarations that contradict these classes.
     ``complement_euler``, when present, declares a splitting off a trivial
     line subbundle with an orientable complement of the stated Euler class;
     ``split`` remembers the two summands of a Whitney sum.  Both are
@@ -112,7 +117,6 @@ class BundleDescriptor:
 
     base: BaseSpace
     rank: int
-    orientable: bool
     euler: RingElement | None
     sw_total: RingElement
     has_complex_structure: bool = False
@@ -124,8 +128,6 @@ class BundleDescriptor:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.orientable != (self.euler is not None):
-            raise ValueError("Euler class must be present exactly when orientable")
         if self.euler is not None:
             if self.euler.ring != self.base.ring:
                 raise ValueError("Euler class must live in the base ring")
@@ -136,20 +138,21 @@ class BundleDescriptor:
             raise ValueError("total SW class must live in the mod-2 base ring")
         if self.sw_total.homogeneous_part(0) != self.base.mod2_ring.one():
             raise ValueError("total SW class must have degree-0 part equal to 1")
-        if any(d > self.rank for d in self.sw_total.degrees()):
-            raise ValueError("SW classes above the rank must vanish")
+        if self.trivial_summands < 0 or self.independent_sections < 0:
+            raise ValueError("structure counts must be non-negative")
+        sections = max(self.trivial_summands, self.independent_sections)
+        if sections > self.rank:
+            raise ValueError("structure counts cannot exceed the rank")
+        if any(d > self.rank - sections for d in self.sw_total.degrees()):
+            raise ValueError(
+                f"SW classes above degree {self.rank - sections} must vanish "
+                f"(rank {self.rank}, {sections} sections)"
+            )
         if self.orientable:
             if mod2_reduce(self.euler) != self.sw_total.homogeneous_part(self.rank):
                 raise ValueError("mod-2 reduction of the Euler class must be the top SW class")
-        if self.trivial_summands < 0 or self.independent_sections < 0:
-            raise ValueError("structure counts must be non-negative")
-        if self.trivial_summands > self.rank or self.independent_sections > self.rank:
-            raise ValueError("structure counts cannot exceed the rank")
-        if self.trivial_summands >= 1:
-            if self.euler is not None and not self.euler.is_zero:
-                raise ValueError("a trivial summand forces a vanishing Euler class")
-            if not self.sw_total.homogeneous_part(self.rank).is_zero:
-                raise ValueError("a trivial summand forces a vanishing top SW class")
+            if sections >= 1 and not self.euler.is_zero:
+                raise ValueError("a nowhere-zero section forces a vanishing Euler class")
         if self.has_complex_structure and self.rank % 2:
             raise ValueError("a complex structure requires even rank")
         if self.complement_euler is not None:
@@ -158,6 +161,10 @@ class BundleDescriptor:
             d = self.complement_euler.homogeneous_degree()
             if d is not None and d != self.rank - 1:
                 raise ValueError("complement Euler class must have degree rank - 1")
+
+    @property
+    def orientable(self) -> bool:
+        return self.euler is not None
 
     @property
     def top_sw(self) -> RingElement:
@@ -182,7 +189,6 @@ def canonical_line_bundle(base: BaseSpace) -> BundleDescriptor:
     return BundleDescriptor(
         base=base,
         rank=2,
-        orientable=True,
         euler=x,
         sw_total=sw,
         has_complex_structure=True,
@@ -195,7 +201,6 @@ def trivial_bundle(base: BaseSpace, rank: int) -> BundleDescriptor:
     return BundleDescriptor(
         base=base,
         rank=rank,
-        orientable=True,
         euler=base.ring.zero(),
         sw_total=base.mod2_ring.one(),
         trivial_summands=rank,
@@ -231,12 +236,10 @@ def whitney_sum(a: BundleDescriptor, b: BundleDescriptor) -> BundleDescriptor:
     """
     if a.base != b.base:
         raise ValueError("Whitney sum requires a common base space")
-    orientable = a.orientable and b.orientable
     return BundleDescriptor(
         base=a.base,
         rank=a.rank + b.rank,
-        orientable=orientable,
-        euler=cup(a.euler, b.euler) if orientable else None,
+        euler=cup(a.euler, b.euler) if a.orientable and b.orientable else None,
         sw_total=cup(a.sw_total, b.sw_total),
         has_complex_structure=a.has_complex_structure and b.has_complex_structure,
         trivial_summands=a.trivial_summands + b.trivial_summands,

@@ -4,12 +4,14 @@ Subcommands: ``bounds`` (interval reports for bundle families or descriptor
 files), ``plan`` (run a planner query on a pair of points), ``verify``
 (execute the verification suites) and ``table`` (emit whole bound tables).
 Output formats: human, json (stable key order) and tsv.  Exit codes: 0 on
-success, 1 on usage errors, 2 on verification failure.
+success, 1 on usage errors (and when the reader closes the output pipe
+early), 2 on verification failure.
 
 Descriptor files are JSON documents with keys ``base`` (family plus
 parameter), ``construction`` (a tree of sum / canonical / trivial nodes)
 and optional ``flags`` (complex_structure, independent_sections); unknown
-keys are rejected.  The ``PARAMTC_SEED`` environment variable overrides the
+keys, and flags that contradict the construction's characteristic classes,
+are rejected.  The ``PARAMTC_SEED`` environment variable overrides the
 default verification seed; an explicit ``--seed`` wins over both.
 """
 
@@ -58,6 +60,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="compute a bound report")
+    p_bounds.set_defaults(run=_cmd_bounds)
     p_bounds.add_argument("--family", choices=FAMILIES)
     p_bounds.add_argument("--descriptor", help="path to a bundle descriptor JSON file")
     p_bounds.add_argument("--n", type=int, help="projective dimension of the base")
@@ -66,6 +69,7 @@ def _build_parser() -> _Parser:
     p_bounds.add_argument("--format", choices=["human", "json", "tsv"], default="human")
 
     p_plan = sub.add_parser("plan", help="run a planner query")
+    p_plan.set_defaults(run=_cmd_plan)
     p_plan.add_argument("--family", choices=["eta-plus-eps", "hopf"], default="eta-plus-eps")
     p_plan.add_argument("--n", type=int, help="projective dimension (validated against the pair)")
     p_plan.add_argument("--pair", required=True, help="inline JSON object or path to a JSON file")
@@ -75,6 +79,7 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--format", choices=["human", "json", "tsv"], default="human")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument(
         "--suite",
         choices=["all", "tables", "partition", "paths", "oracle"],
@@ -88,6 +93,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--format", choices=["human", "json"], default="human")
 
     p_table = sub.add_parser("table", help="emit a whole bound table")
+    p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("--family", choices=FAMILIES, required=True)
     p_table.add_argument("--n-max", type=int, default=8)
     p_table.add_argument("--format", choices=["human", "json", "tsv"], default="human")
@@ -490,22 +496,20 @@ def execute(argv: list[str]) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(execute(sys.argv[1:]))
+    try:
+        code = execute(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe: the output is lost, print no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -113,8 +113,8 @@ class ProjectiveRep:
             raise ValueError("cannot normalise the zero vector")
         return cls(v / norm)
 
-    def same_line(self, other: "ProjectiveRep", tol: float = _UNIT_TOL) -> bool:
-        return abs(_hdot(self.z, other.z)) >= 1.0 - tol
+    def same_line(self, other: "ProjectiveRep") -> bool:
+        return abs(_hdot(self.z, other.z)) >= 1.0 - _UNIT_TOL
 
     def __repr__(self) -> str:
         return f"ProjectiveRep({np.array2string(self.z, precision=4)})"
@@ -297,32 +297,21 @@ def _phase_rotation(w: np.ndarray, phi: float) -> ArcSegment:
 class PlannedPath:
     """A piecewise-analytic path in one fiber, evaluable at any t in [0, 1].
 
-    ``segments`` partition global time at ``breakpoints``; each segment is
-    evaluated in its own unit-time parametrization through its
-    ``fiber_at(u)``, which takes a 1-D array of local times and returns one
-    row of ``w`` and one entry of ``s`` per time.  The path carries the
+    The m ``segments`` share global time equally: segment i runs over
+    ``[i/m, (i+1)/m]`` (the ``breakpoints``), evaluated in its own unit-time
+    parametrization through its ``fiber_at(u)``, which takes a 1-D array of
+    local times and returns one row of ``w`` and one entry of ``s`` per
+    time.  The path lies over the base point of ``start`` and carries the
     piece index of the partition that produced it.
     """
 
     __slots__ = ("piece", "z", "segments", "breakpoints", "start", "end")
 
-    def __init__(
-        self,
-        piece: int,
-        z: ProjectiveRep,
-        segments: Sequence,
-        breakpoints: Sequence[float],
-        start: BundlePoint,
-        end: BundlePoint,
-    ):
-        if len(breakpoints) != len(segments) + 1:
-            raise ValueError("need one more breakpoint than segments")
-        if breakpoints[0] != 0.0 or breakpoints[-1] != 1.0:
-            raise ValueError("breakpoints must run from 0 to 1")
+    def __init__(self, piece: int, segments: Sequence, start: BundlePoint, end: BundlePoint):
         self.piece = piece
-        self.z = z
+        self.z = start.z
         self.segments = tuple(segments)
-        self.breakpoints = tuple(float(b) for b in breakpoints)
+        self.breakpoints = tuple(i / len(segments) for i in range(len(segments))) + (1.0,)
         self.start = start
         self.end = end
 
@@ -401,14 +390,7 @@ def plan(
         segments = [ArcSegment("polar-rotation", p, (wd / norm, sd / norm), math.pi)]
         segments += _snap_segment(x, y)
 
-    return PlannedPath(
-        piece=piece,
-        z=x.z,
-        segments=segments,
-        breakpoints=[i / len(segments) for i in range(len(segments))] + [1.0],
-        start=x,
-        end=y,
-    )
+    return PlannedPath(piece, segments, x, y)
 
 
 def _snap_segment(x: BundlePoint, y: BundlePoint) -> list:
@@ -444,11 +426,5 @@ def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
         piece = 1
         phi = math.pi
 
-    return PlannedPath(
-        piece=piece,
-        z=rep,
-        segments=[_phase_rotation(z, phi)],
-        breakpoints=[0.0, 1.0],
-        start=BundlePoint(rep, z, 0.0),
-        end=BundlePoint(rep, z2, 0.0),
-    )
+    start, end = BundlePoint(rep, z, 0.0), BundlePoint(rep, z2, 0.0)
+    return PlannedPath(piece, [_phase_rotation(z, phi)], start, end)

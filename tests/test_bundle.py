@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from paramtc.bundle import (
@@ -15,7 +17,7 @@ from paramtc.bundle import (
     trivial_bundle,
     whitney_sum,
 )
-from paramtc.ring import lh_height, mod2_reduce, power
+from paramtc.ring import cup, lh_height, mod2_reduce, power
 
 
 def eta(n: int) -> BundleDescriptor:
@@ -91,7 +93,6 @@ class TestDescriptorValidation:
             BundleDescriptor(
                 base=base,
                 rank=3,
-                orientable=True,
                 euler=base.ring.zero(),
                 sw_total=base.mod2_ring.one(),
                 has_complex_structure=True,
@@ -103,22 +104,36 @@ class TestDescriptorValidation:
             BundleDescriptor(
                 base=base,
                 rank=2,
-                orientable=True,
                 euler=base.ring.generator("x"),
                 sw_total=base.mod2_ring.one() + base.mod2_ring.generator("x"),
                 trivial_summands=1,
             )
 
-    def test_euler_iff_orientable(self):
+    def test_section_refused_beside_nonzero_euler_class(self):
+        # η over CP^2: e = x != 0 and w_2 = x, so no nowhere-zero section
+        with pytest.raises(ValueError, match="SW classes above degree 1"):
+            dataclasses.replace(eta(2), independent_sections=1)
+        # e = 2x reduces to w_2 = 0, so only the Euler class refuses the section
         base = cpn(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vanishing Euler class"):
             BundleDescriptor(
                 base=base,
                 rank=2,
-                orientable=False,
-                euler=base.ring.zero(),
+                euler=cup(base.ring.scalar(2), base.ring.generator("x")),
                 sw_total=base.mod2_ring.one(),
+                independent_sections=1,
             )
+
+    def test_sections_bound_the_nonzero_sw_degrees(self):
+        # η⊕ε over CP^2 has w_2 = x: one section fits, two would leave rank 1
+        assert dataclasses.replace(eta_plus_eps(2), independent_sections=1).independent_sections == 1
+        with pytest.raises(ValueError, match="SW classes above degree 1"):
+            dataclasses.replace(eta_plus_eps(2), independent_sections=2)
+
+    def test_orientable_exactly_when_euler_present(self):
+        base = cpn(2)
+        assert eta(2).orientable
+        assert not BundleDescriptor(base=base, rank=2, euler=None, sw_total=base.mod2_ring.one()).orientable
 
     def test_top_sw_must_match_euler(self):
         base = cpn(2)
@@ -126,7 +141,6 @@ class TestDescriptorValidation:
             BundleDescriptor(
                 base=base,
                 rank=2,
-                orientable=True,
                 euler=base.ring.generator("x"),
                 sw_total=base.mod2_ring.one(),
             )
@@ -158,7 +172,6 @@ class TestDdot:
         generic = BundleDescriptor(
             base=base,
             rank=2,
-            orientable=True,
             euler=base.ring.generator("x"),
             sw_total=base.mod2_ring.one() + base.mod2_ring.generator("x"),
         )

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,22 @@ class TestDescriptorLoading:
         with pytest.raises(UsageError, match="inconsistent flags"):
             load_descriptor(doc)
 
+    def test_sections_contradicting_the_classes_rejected(self, capsys):
+        # η over CP^2 has Euler class x != 0: no nowhere-zero section
+        doc = '{"base": {"family": "CPn", "n": 2}, "construction": {"op": "canonical"}, "flags": {"independent_sections": 1}}'
+        code, out, err = run(capsys, "bounds", "--format", "tsv", "--descriptor", doc)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: inconsistent flags: ")
+
+    def test_section_of_the_trivial_summand_accepted(self, capsys):
+        # η⊕ε has a section already: declaring it changes no report
+        reports = []
+        for flags in (None, {"independent_sections": 1}):
+            code, out, _ = run(capsys, "bounds", "--format", "json", "--descriptor", _descriptor(flags=flags))
+            assert code == 0
+            reports.append(json.loads(out)["report"])
+        assert reports[0] == reports[1]
+
 
 # one pair per kind of plan over the line of (0.6, 0.8i) in C^2, with the
 # literal `plan --format tsv --samples 5` output (columns split at spaces)
@@ -251,6 +271,27 @@ t s w
 1.000000 0 3.67394039744e-17,0.6;-0.8,4.89858719659e-17
 """,
     ),
+}
+
+# the literal `plan --format json` piece and segment list (kind, t0, t1) of
+# each path shape; piece 1 takes 3 segments for y = -x, 4 with a snap segment
+_ANTIPODE = {"x": _X, "y": {"z": _Z, "w": [[-0.36, 0.0], [0.0, -0.48]], "s": -0.8}}
+_THIRD, _TWO_THIRDS = 0.3333333333333333, 0.6666666666666666
+PLAN_SEGMENTS = {
+    "piece-0": (0, [("interpolation", 0.0, 1.0)]),
+    "piece-1": (1, [
+        ("interpolation", 0.0, _THIRD),
+        ("phase-rotation", _THIRD, _TWO_THIRDS),
+        ("interpolation", _TWO_THIRDS, 1.0),
+    ]),
+    "piece-1-snap": (1, [
+        ("interpolation", 0.0, 0.25),
+        ("phase-rotation", 0.25, 0.5),
+        ("interpolation", 0.5, 0.75),
+        ("interpolation", 0.75, 1.0),
+    ]),
+    "pole": (3, [("polar-rotation", 0.0, 1.0)]),
+    "hopf": (0, [("phase-rotation", 0.0, 1.0)]),
 }
 
 
@@ -339,6 +380,15 @@ class TestPlan:
         assert np.array([e["s"] for e in samples]).tobytes() == s.tobytes()
         got_w = np.array([[complex(re, im) for re, im in e["w"]] for e in samples])
         assert got_w.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(PLAN_SEGMENTS))
+    def test_json_segments(self, capsys, kind):
+        family, pair = ("eta-plus-eps", _ANTIPODE) if kind == "piece-1" else PLAN_TSV_SAMPLES_5[kind][:2]
+        code, out, _ = run(capsys, "plan", "--family", family, "--pair", json.dumps(pair), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        segments = [(seg["kind"], seg["t0"], seg["t1"]) for seg in payload["segments"]]
+        assert (payload["piece"], segments) == PLAN_SEGMENTS[kind]
 
     def test_hopf_accepts_tol_anti_zero(self, capsys):
         _, pair, _ = PLAN_TSV_SAMPLES_5["hopf"]
@@ -552,12 +602,14 @@ BAD_INPUT_PROBES = {
     "descriptor-sum-600": ["bounds", "--descriptor", _nested_sums(600)],
     "descriptor-sum-1500": ["bounds", "--descriptor", _nested_sums(1500)],
     "pair-nested-2000": ["plan", "--pair", '{"x": ' + "[" * 2000 + "]" * 2000 + "}"],
-    # the bound engine refuses these bundles: contradictory flags, rank below 2
+    # sections that contradict the classes are inconsistent flags: η over CP^1
+    # has Euler class x != 0, η⊕ε over CP^2 has w_2 = x above degree 3 - 2
     "bounds-conflicting-exact": [
         "bounds", "--quantity", "secat", "--descriptor",
         '{"base": {"family": "CPn", "n": 1}, "construction": {"op": "canonical"}, "flags": {"independent_sections": 2}}',
     ],
     "bounds-empty-interval": ["bounds", "--descriptor", _descriptor(2, 1, {"independent_sections": 2})],
+    # the bound engine refuses this bundle: rank below 2
     "bounds-rank-1": ["bounds", "--descriptor", '{"base": {"family": "point"}, "construction": {"op": "trivial", "rank": 1}}'],
 }
 
@@ -589,6 +641,24 @@ def test_verify_oracle_suite_at_n_max_10(capsys):
     (outcome,) = json.loads(out)["outcomes"]
     assert outcome["passed"] is True
     assert outcome["cases"] == 4825
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read what the child writes
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "paramtc.cli", "bounds", "--family", "eta", "--n", "3", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
 
 
 class TestParsing:

@@ -17,7 +17,6 @@ from paramtc.planner import (
     BundlePoint,
     DegenerateRepresentativeError,
     NotSameFiberError,
-    PlannedPath,
     ProjectiveRep,
     cell_index,
     cell_section,
@@ -384,13 +383,6 @@ def test_tol_anti_floor():
 
 
 class TestPlannedPath:
-    def test_breakpoints_must_cover_unit_interval(self):
-        z = random_rep(1)
-        x = random_point(z)
-        path = plan(x, x)
-        with pytest.raises(ValueError):
-            PlannedPath(0, z, path.segments, (0.0, 0.5), x, x)
-
     def test_array_times_match_float_times(self):
         z = random_rep(2)
         x = random_point(z)

@@ -233,7 +233,7 @@ def _corrupted(path, corrupt):
             return corrupt(u, *self.inner.fiber_at(u))
 
     segments = [Corrupted(segment) for segment in path.segments]
-    return PlannedPath(path.piece, path.z, segments, path.breakpoints, path.start, path.end)
+    return PlannedPath(path.piece, segments, path.start, path.end)
 
 
 def _sign_flip(u, w, s):
@@ -280,27 +280,7 @@ class TestCheckPath:
 
     def test_corrupted_path_fails_continuity(self):
         x, y = self._pair()
-        path = plan(x, y)
-
-        class SignFlip:
-            kind = "interpolation"
-
-            def __init__(self, inner):
-                self.inner = inner
-
-            def fiber_at(self, u):
-                w, s = self.inner.fiber_at(u)
-                return w, np.where(u > 0.5, -s, s)
-
-        corrupted = PlannedPath(
-            piece=path.piece,
-            z=path.z,
-            segments=[SignFlip(path.segments[0])],
-            breakpoints=path.breakpoints,
-            start=path.start,
-            end=path.end,
-        )
-        out = check_path(corrupted, samples=40)
+        out = check_path(_corrupted(plan(x, y), _sign_flip), samples=40)
         assert not out.passed
         assert any(invariant == "continuity" for _, invariant, _ in out.failures)
 
