@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Drive the fiberwise planner on representative queries and verify the paths.
 
-Plans one query per partition piece over CP^2, prints the segment structure
-and a few sampled points for each, then runs the randomized path suite.
+Plans three queries over CP^2 (a generic pair in piece 0, an antipodal pair
+off the poles in piece 1 and a pole pair over the 2-cell in piece 4), prints
+the segment structure and a few sampled points for each, then runs the
+partition and randomized path suites over CP^1 ... CP^3.
 
 Usage: python scripts/planner_demo.py [--seed 1729] [--trials 2000]
 """

@@ -23,7 +23,8 @@ Parametrized-TC rules (fiberwise planning on the sphere bundle):
         bundle) + 1, when the symbolic class exists.
 * R3 -- trivial-line splitting with complement Euler class e: TC >= h(e)+1,
         upgraded to h(e)+2 when h(e) is even and the base has no 2-torsion
-        in degree (q-1)h(e).
+        in degree (q-1)h(e), which every base meets: its cohomology ring is
+        free over Z.
 * R4 -- TC <= secat of the orthogonal-complement sphere bundle + 1, when
         that secat is known (structural hint, or the dimension rule over
         the total space, using dim = dim B + q - 1).
@@ -36,7 +37,8 @@ Parametrized-TC rules (fiberwise planning on the sphere bundle):
 * R8 -- for a declared splitting with a rank >= 2 factor tau whose
         complement-secat and sphere-secat are both known:
         TC <= secat(tau-complement) + secat(tau-sphere) + 2; in particular
-        two independent nowhere-zero sections give TC <= 2.
+        two independent nowhere-zero sections (declared, or from trivial
+        summands) give TC <= 2.
 
 Derivation of R5.  Write E' -> B for the sphere bundle (fiber S^{q-1}) and
 E'' -> E' for the complement sphere bundle: over a unit vector v, the unit
@@ -236,7 +238,7 @@ def secat_sphere_bundle(xi: BundleDescriptor) -> TCReport:
         if h_euler:
             b.add_lower("euler-height", _CITE_EULER, h_euler)
 
-    if xi.independent_sections >= 1 or xi.trivial_summands >= 1:
+    if xi.sections >= 1:
         b.add_exact("section", _CITE_SECTION, 0)
     if h_euler is not None and xi.base.dimension <= q * h_euler + q:
         b.add_exact("dimension-equality", _CITE_DIM_EQ, h_euler)
@@ -313,14 +315,14 @@ def tc_split_upper(secat_tau_ddot: int, secat_tau_dot: int) -> int:
     return secat_tau_ddot + secat_tau_dot + 2
 
 
-def _known_secat_ddot(d: DdotDescriptor, base_dim: int) -> int | None:
+def _known_secat_ddot(d: DdotDescriptor) -> int | None:
     """Sectional category of the complement sphere bundle, when structure pins it."""
     if d.secat_ddot_hint is not None:
         return d.secat_ddot_hint
     if d.euler_ddot is not None:
         h2 = lh_height(d.euler_ddot)
         # dimension rule over the total space: dim + q - 1 <= (q-1)(h2+1)
-        if base_dim <= (d.parent.rank - 1) * h2:
+        if d.parent.base.dimension <= (d.parent.rank - 1) * h2:
             return h2
     return None
 
@@ -342,10 +344,9 @@ def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
         h2 = lh_height(d.euler_ddot)
         b.add_lower("R2", _CITE_R2, h2 + 1)
         complement_h = kernel_cuplength(q, euler_eta=d.euler_ddot.module.euler_eta)[0] - 1
-        upgraded = complement_h % 2 == 0 and xi.base.torsion_free((q - 1) * complement_h)
-        b.add_lower("R3", _CITE_R3, complement_h + (2 if upgraded else 1))
+        b.add_lower("R3", _CITE_R3, complement_h + (2 if complement_h % 2 == 0 else 1))
 
-    known = _known_secat_ddot(d, xi.base.dimension)
+    known = _known_secat_ddot(d)
     if known is not None:
         b.add_upper("R4", _CITE_R4, known + 1)
     if h2 is not None and xi.base.dimension <= (q - 1) * h2:
@@ -358,13 +359,13 @@ def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
     if xi.has_complex_structure:
         b.add_exact("R7", _CITE_R7, 1)
 
-    if xi.independent_sections >= 2:
+    if xi.sections >= 2:
         b.add_upper("R8", _CITE_R8_SECTIONS, 2)
     if xi.split is not None:
         for tau in xi.split:
             if tau.rank < 2:
                 continue
-            s_ddot = _known_secat_ddot(ddot_of(tau), tau.base.dimension)
+            s_ddot = _known_secat_ddot(ddot_of(tau))
             if s_ddot is None:
                 continue
             tau_dot = secat_sphere_bundle(tau)

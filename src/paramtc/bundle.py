@@ -10,15 +10,14 @@ flags are not verified -- deciding them is a hard topology problem this
 package does not attempt.  Descriptors are immutable and constructions
 (:func:`whitney_sum`, :func:`k_fold_sum`, :func:`ddot_of`) are pure.
 
-The base ring is assumed to be a faithful free model of the integral
-cohomology; torsion is only consulted through the declared per-degree
-predicate, which all built-in bases answer with "torsion free".
+A base is its integral cohomology ring: a truncated polynomial ring over
+Z, which is a free Z-module, so no base has torsion, and its dimension is
+the ring's top degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .ring import (
     Coefficients,
@@ -52,35 +51,25 @@ __all__ = [
 FAMILIES = ("k-eta", "eta", "eta-plus-eps")
 
 
-def _always_torsion_free(degree: int) -> bool:
-    return True
-
-
 @dataclass(frozen=True)
 class BaseSpace:
-    """A CW base space with a free integral cohomology model.
+    """A CW base space, given by its integral cohomology ring.
 
-    ``dimension`` is the CW dimension; it must be at least the top nonzero
-    degree of the ring.  ``torsion_free`` answers, per degree, whether the
-    integral cohomology has no 2-torsion there; custom bases with torsion
-    must declare it.
+    The ring is a truncated polynomial ring over Z, free as a Z-module, so
+    the base has no torsion in any degree; ``dimension`` is the ring's top
+    degree.
     """
 
     family: str
     ring: RingDescriptor
-    dimension: int
-    torsion_free: Callable[[int], bool] = field(default=_always_torsion_free, compare=False)
 
     def __post_init__(self) -> None:
         if self.ring.coefficients is not Coefficients.INTEGER:
             raise ValueError("base ring must have integer coefficients")
-        if self.dimension < 0:
-            raise ValueError("dimension must be non-negative")
-        if self.ring.top_degree() > self.dimension:
-            raise ValueError(
-                f"ring has classes up to degree {self.ring.top_degree()} "
-                f"but the declared dimension is {self.dimension}"
-            )
+
+    @property
+    def dimension(self) -> int:
+        return self.ring.top_degree()
 
     @property
     def mod2_ring(self) -> RingDescriptor:
@@ -91,12 +80,11 @@ def cpn(n: int) -> BaseSpace:
     """Complex projective n-space: Z[x]/(x^{n+1}) with deg x = 2, dimension 2n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    ring = RingDescriptor((Generator("x", 2, n + 1),))
-    return BaseSpace("CPn", ring, 2 * n)
+    return BaseSpace("CPn", RingDescriptor((Generator("x", 2, n + 1),)))
 
 
 def point() -> BaseSpace:
-    return BaseSpace("point", RingDescriptor(()), 0)
+    return BaseSpace("point", RingDescriptor(()))
 
 
 @dataclass(frozen=True)
@@ -105,9 +93,10 @@ class BundleDescriptor:
 
     The bundle is orientable exactly when ``euler`` is present.  s
     independent nowhere-zero sections, or s trivial summands, split off a
-    trivial rank-s subbundle, so s >= 1 forces a vanishing Euler class and
-    the Stiefel-Whitney classes above degree rank - s vanish; the
-    constructor refuses declarations that contradict these classes.
+    trivial rank-s subbundle; ``sections`` is the larger of the two counts.
+    s >= 1 forces a vanishing Euler class and the Stiefel-Whitney classes
+    above degree rank - s vanish; the constructor refuses declarations that
+    contradict these classes.
     ``complement_euler``, when present, declares a splitting off a trivial
     line subbundle with an orientable complement of the stated Euler class;
     ``split`` remembers the two summands of a Whitney sum.  Both are
@@ -140,7 +129,7 @@ class BundleDescriptor:
             raise ValueError("total SW class must have degree-0 part equal to 1")
         if self.trivial_summands < 0 or self.independent_sections < 0:
             raise ValueError("structure counts must be non-negative")
-        sections = max(self.trivial_summands, self.independent_sections)
+        sections = self.sections
         if sections > self.rank:
             raise ValueError("structure counts cannot exceed the rank")
         if any(d > self.rank - sections for d in self.sw_total.degrees()):
@@ -165,6 +154,11 @@ class BundleDescriptor:
     @property
     def orientable(self) -> bool:
         return self.euler is not None
+
+    @property
+    def sections(self) -> int:
+        """Independent nowhere-zero sections, declared or from trivial summands."""
+        return max(self.trivial_summands, self.independent_sections)
 
     @property
     def top_sw(self) -> RingElement:
@@ -320,14 +314,11 @@ def ddot_euler_height(d: DdotDescriptor) -> int:
 
     With h the height of the base Euler class e: even powers collapse to
     ``e^{2m}`` pulled back, odd powers carry a ``2 e^{2m} U`` term, so the
-    height is h + 1 when h is even and the base has no 2-torsion in degree
-    (q-1)h, and h otherwise.  Always equals the direct power computation
-    ``lh_height(euler_ddot)`` on torsion-free bases.
+    height is h + 1 when h is even (the base has no 2-torsion, as no base
+    does) and h otherwise.  Always equals the direct power computation
+    ``lh_height(euler_ddot)``.
     """
     if d.euler_ddot is None:
         raise ValueError("no symbolic Euler class is available for this bundle")
     h = height(d.euler_ddot.module.euler_eta)
-    q = d.parent.rank
-    if h % 2 == 0 and d.parent.base.torsion_free((q - 1) * h):
-        return h + 1
-    return h
+    return h + 1 if h % 2 == 0 else h

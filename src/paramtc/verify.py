@@ -141,11 +141,12 @@ def lh_rewrite_oracle(expression: Expression, n: int) -> tuple[list[int], list[i
 
 
 def oracle_power(terms: Sequence[Word], k: int) -> Expression:
-    """The k-th power of a sum of words, as an oracle expression."""
+    """The k-th power of a sum of words, as an oracle expression.
+
+    The zeroth power is the empty product, which evaluates to the unit.
+    """
     if k < 0:
         raise ValueError("negative powers are not defined")
-    if k == 0:
-        return [[(1, "")]]
     return [list(terms)] * k
 
 

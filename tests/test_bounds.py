@@ -168,6 +168,13 @@ class TestTCSphereBundle:
         assert r.upper == 2
         assert r.has_rule("R8")
 
+    def test_two_trivial_summands_upper(self):
+        # trivial summands are sections too, whatever independent_sections says
+        xi = dataclasses.replace(trivial_bundle(cpn(3), 4), independent_sections=0)
+        r = tc_sphere_bundle(xi)
+        assert (r.lower, r.upper) == (1, 2)
+        assert r.has_rule("R8")
+
     def test_complex_factor_with_section(self):
         # a non-complex factor plus a complex factor with a section: TC <= 2
         base = cpn(3)

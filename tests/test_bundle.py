@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from paramtc.bundle import (
+    BaseSpace,
     BundleDescriptor,
     canonical_line_bundle,
     cpn,
@@ -27,6 +28,26 @@ def eta(n: int) -> BundleDescriptor:
 def eta_plus_eps(n: int) -> BundleDescriptor:
     base = cpn(n)
     return whitney_sum(canonical_line_bundle(base), trivial_bundle(base, 1))
+
+
+class TestBaseSpace:
+    def test_dimension_is_the_top_degree(self):
+        for n in range(6):
+            assert cpn(n).dimension == 2 * n
+        assert point().dimension == 0
+
+    def test_base_is_its_family_and_ring(self):
+        assert [f.name for f in dataclasses.fields(BaseSpace)] == ["family", "ring"]
+
+    def test_separately_built_bases_are_equal(self):
+        a, b = cpn(3), cpn(3)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != cpn(2)
+
+    def test_mod2_ring_refused(self):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            BaseSpace("CPn", cpn(3).mod2_ring)
 
 
 class TestWhitneySum:
@@ -129,6 +150,13 @@ class TestDescriptorValidation:
         assert dataclasses.replace(eta_plus_eps(2), independent_sections=1).independent_sections == 1
         with pytest.raises(ValueError, match="SW classes above degree 1"):
             dataclasses.replace(eta_plus_eps(2), independent_sections=2)
+
+    def test_sections_count_trivial_summands_and_declared_sections(self):
+        assert eta(2).sections == 0
+        assert eta_plus_eps(2).sections == 1
+        three = trivial_bundle(cpn(2), 3)
+        assert dataclasses.replace(three, independent_sections=0).sections == 3
+        assert dataclasses.replace(three, trivial_summands=1, independent_sections=2).sections == 2
 
     def test_orientable_exactly_when_euler_present(self):
         base = cpn(2)
