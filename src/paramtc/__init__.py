@@ -4,7 +4,13 @@ The package computes sectional-category and parametrized-topological-
 complexity intervals for unit sphere bundles from characteristic-class
 data, with a full provenance trail, and runs the matching explicit
 piecewise planners on sphere bundles over complex projective space.
+
+The ring, bundle and bound layers load with the package.  The planner and
+the verification suites need numpy, so they and their names below load on
+first access (PEP 562): ``import paramtc`` alone does not import numpy.
 """
+
+import importlib
 
 from .bounds import (
     ContradictionError,
@@ -31,20 +37,6 @@ from .bundle import (
     trivial_bundle,
     whitney_sum,
 )
-from .planner import (
-    BundlePoint,
-    DegenerateRepresentativeError,
-    NotSameFiberError,
-    PlannedPath,
-    ProjectiveRep,
-    cell_index,
-    cell_section,
-    classify_pair,
-    fiber_distance,
-    fiber_inner,
-    plan,
-    plan_hopf,
-)
 from .ring import (
     Coefficients,
     CoefficientDomainError,
@@ -63,15 +55,54 @@ from .ring import (
     mod2_reduce,
     power,
 )
-from .verify import (
-    DEFAULT_SEED,
-    VerificationOutcome,
-    check_bounds_tables,
-    check_lh_oracle,
-    check_partition,
-    check_path,
-    check_paths_random,
-    lh_rewrite_oracle,
-)
+
+# name -> submodule that defines it; loaded on first access
+_LAZY = {
+    **dict.fromkeys(
+        [
+            "BundlePoint",
+            "DegenerateRepresentativeError",
+            "NotSameFiberError",
+            "PlannedPath",
+            "ProjectiveRep",
+            "cell_index",
+            "cell_section",
+            "classify_pair",
+            "fiber_distance",
+            "fiber_inner",
+            "plan",
+            "plan_hopf",
+        ],
+        "planner",
+    ),
+    **dict.fromkeys(
+        [
+            "DEFAULT_SEED",
+            "VerificationOutcome",
+            "check_bounds_tables",
+            "check_lh_oracle",
+            "check_partition",
+            "check_path",
+            "check_paths_random",
+            "lh_rewrite_oracle",
+        ],
+        "verify",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in ("planner", "verify"):
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

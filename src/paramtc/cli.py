@@ -5,7 +5,12 @@ files), ``plan`` (run a planner query on a pair of points), ``verify``
 (execute the verification suites) and ``table`` (emit whole bound tables).
 Output formats: human, json (stable key order) and tsv.  Exit codes: 0 on
 success, 1 on usage errors (and when the reader closes the output pipe
-early), 2 on verification failure.
+early), 2 on verification failure.  ``--samples`` is capped at
+``MAX_PLAN_SAMPLES`` for ``plan`` and ``MAX_VERIFY_SAMPLES`` for ``verify``.
+
+``bounds`` and ``table`` run on the ring and bound layers alone; only
+``plan`` and ``verify`` import the planner, the suites and numpy.  The
+parser is built once per process and shared by every :func:`execute` call.
 
 Descriptor files are JSON documents with keys ``base`` (family plus
 parameter), ``construction`` (a tree of sum / canonical / trivial nodes)
@@ -19,14 +24,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import verify as verify_mod
 from .bounds import QUANTITIES, ContradictionError, TCReport, default_quantity, family_table
 from .bundle import (
     FAMILIES,
@@ -38,12 +42,18 @@ from .bundle import (
     trivial_bundle,
     whitney_sum,
 )
-from .planner import BundlePoint, ProjectiveRep, TOL_ANTI, TOL_ANTI_MIN, TOL_CELL, plan, plan_hopf
+
+if TYPE_CHECKING:  # plan and verify import these on first use: bounds and table never load numpy
+    import numpy as np
+
+    from .planner import BundlePoint
 
 __all__ = ["execute", "main", "UsageError"]
 
 
 MAX_CONSTRUCTION_DEPTH = 64  # nested construction nodes in a descriptor
+MAX_PLAN_SAMPLES = 10_000  # points on one planned path: about 50 MB peak at the cap
+MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path, 512 paths at once: about 240 MB peak
 
 
 class UsageError(ValueError):
@@ -55,6 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # the handlers and _Parser.error keep no per-call state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="paramtc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,8 +85,8 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--n", type=int, help="projective dimension (validated against the pair)")
     p_plan.add_argument("--pair", required=True, help="inline JSON object or path to a JSON file")
     p_plan.add_argument("--samples", type=int, default=5)
-    p_plan.add_argument("--tol-anti", type=float, default=TOL_ANTI)
-    p_plan.add_argument("--tol-cell", type=float, default=TOL_CELL)
+    p_plan.add_argument("--tol-anti", type=float)  # default planner.TOL_ANTI
+    p_plan.add_argument("--tol-cell", type=float)  # default planner.TOL_CELL
     p_plan.add_argument("--format", choices=["human", "json", "tsv"], default="human")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
@@ -214,6 +225,8 @@ def _number_from_json(value, what: str) -> float:
 
 
 def _complex_vector_from_json(data, what: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(data, list) or not data:
         raise UsageError(f"{what} must be a non-empty list of [re, im] pairs")
     out = []
@@ -229,6 +242,8 @@ def _complex_vector_to_json(v: np.ndarray) -> list[list[float]]:
 
 
 def _point_from_json(node, what: str) -> BundlePoint:
+    from .planner import BundlePoint, ProjectiveRep
+
     if not isinstance(node, dict):
         raise UsageError(f"{what} must be an object")
     _reject_unknown(node, {"z", "w", "s"}, what)
@@ -353,29 +368,39 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-# a huge finite entry overflows a norm to inf, which the unit checks refuse
-@np.errstate(over="ignore")
-def _cmd_plan(args) -> int:
-    if args.samples < 2:
+def _check_samples(samples: int, cap: int) -> None:
+    if samples < 2:
         raise UsageError("--samples must be at least 2")
-    anti_floor = 0.0 if args.family == "hopf" else TOL_ANTI_MIN  # plan_hopf is well-conditioned at 0
-    ranges = (("--tol-anti", args.tol_anti, anti_floor), ("--tol-cell", args.tol_cell, 0.0))
-    for flag, tol, floor in ranges:
+    if samples > cap:
+        raise UsageError(f"--samples must be at most {cap}")
+
+
+def _cmd_plan(args) -> int:
+    import numpy as np
+
+    from . import planner
+
+    _check_samples(args.samples, MAX_PLAN_SAMPLES)
+    tol_anti = planner.TOL_ANTI if args.tol_anti is None else args.tol_anti
+    tol_cell = planner.TOL_CELL if args.tol_cell is None else args.tol_cell
+    anti_floor = 0.0 if args.family == "hopf" else planner.TOL_ANTI_MIN  # plan_hopf is well-conditioned at 0
+    for flag, tol, floor in (("--tol-anti", tol_anti, anti_floor), ("--tol-cell", tol_cell, 0.0)):
         if not floor <= tol < 1.0:  # also false for NaN
             raise UsageError(f"{flag} must be a number in [{floor:g}, 1)")
-    pair = _load_pair(args.pair, args.family, args.n)
-    try:
-        if args.family == "hopf":
-            path = plan_hopf(*pair, tol_anti=args.tol_anti)
-        else:
-            path = plan(*pair, tol_anti=args.tol_anti, tol_cell=args.tol_cell)
-    except ValueError as exc:
-        raise UsageError(f"cannot plan this pair: {exc}") from exc
-
-    samples = [
-        {"t": i / (args.samples - 1), "w": _complex_vector_to_json(p.w), "s": p.s}
-        for i, p in enumerate(path.sample(args.samples))
-    ]
+    # a huge finite entry overflows a norm to inf, which the unit checks refuse
+    with np.errstate(over="ignore"):
+        pair = _load_pair(args.pair, args.family, args.n)
+        try:
+            if args.family == "hopf":
+                path = planner.plan_hopf(*pair, tol_anti=tol_anti)
+            else:
+                path = planner.plan(*pair, tol_anti=tol_anti, tol_cell=tol_cell)
+        except ValueError as exc:
+            raise UsageError(f"cannot plan this pair: {exc}") from exc
+        samples = [
+            {"t": i / (args.samples - 1), "w": _complex_vector_to_json(p.w), "s": p.s}
+            for i, p in enumerate(path.sample(args.samples))
+        ]
     segments = [
         {"kind": seg.kind, "t0": path.breakpoints[i], "t1": path.breakpoints[i + 1]}
         for i, seg in enumerate(path.segments)
@@ -408,12 +433,15 @@ def _resolve_seed(explicit: int | None) -> int:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"PARAMTC_SEED must be an integer, got {env!r}") from exc
-    return verify_mod.DEFAULT_SEED
+    from .verify import DEFAULT_SEED
+
+    return DEFAULT_SEED
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
+    from . import verify
+
+    _check_samples(args.samples, MAX_VERIFY_SAMPLES)
     if args.n < 0:
         raise UsageError("--n must be non-negative")
     if args.n < 1 and args.suite in ("all", "partition"):
@@ -425,14 +453,14 @@ def _cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     outcomes = []
     if args.suite in ("all", "oracle"):
-        outcomes.append(verify_mod.check_lh_oracle(args.n_max))
+        outcomes.append(verify.check_lh_oracle(args.n_max))
     if args.suite in ("all", "tables"):
-        outcomes.append(verify_mod.check_bounds_tables(args.n_max))
+        outcomes.append(verify.check_bounds_tables(args.n_max))
     if args.suite in ("all", "partition"):
-        outcomes.append(verify_mod.check_partition(args.n, trials=args.trials, seed=seed))
+        outcomes.append(verify.check_partition(args.n, trials=args.trials, seed=seed))
     if args.suite in ("all", "paths"):
         outcomes.append(
-            verify_mod.check_paths_random(
+            verify.check_paths_random(
                 args.n, trials=args.trials, seed=seed, samples=args.samples
             )
         )

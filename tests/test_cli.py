@@ -17,6 +17,7 @@ from paramtc.cli import UsageError, execute, load_descriptor
 from paramtc.planner import plan, plan_hopf
 from paramtc.verify import VerificationOutcome
 import paramtc.cli as cli_mod
+import paramtc.verify
 
 
 def run(capsys, *argv):
@@ -456,7 +457,7 @@ class TestVerifyCommand:
         failing = VerificationOutcome("tables")
         failing.cases = 1
         failing.record("x", "pinned value", 0)
-        monkeypatch.setattr(cli_mod.verify_mod, "check_bounds_tables", lambda n_max: failing)
+        monkeypatch.setattr(paramtc.verify, "check_bounds_tables", lambda n_max: failing)
         code, out, _ = run(capsys, "verify", "--suite", "tables")
         assert code == 2
         assert "FAIL" in out
@@ -589,6 +590,9 @@ BAD_INPUT_PROBES = {
     "bool-rank": ["bounds", "--descriptor", _descriptor(rank=True)],
     "bool-sections": ["bounds", "--descriptor", _descriptor(flags={"independent_sections": True})],
     "verify-samples-1": ["verify", "--suite", "paths", "--samples", "1"],
+    # --samples caps: refused before any suite or plan runs, so huge values cost nothing
+    "plan-samples-1e9": ["plan", "--pair", _pair_with(), "--samples", str(10**9)],
+    "verify-all-samples-1e9": ["verify", "--samples", str(10**9)],
     "verify-negative-n": ["verify", "--suite", "paths", "--n", "-1"],
     "verify-n-0-partition": ["verify", "--suite", "partition", "--n", "0"],
     "verify-n-0-all": ["verify", "--n", "0"],
@@ -620,6 +624,21 @@ def test_bad_input_is_usage_error(capsys, probe):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""  # refused before any suite or plan ran
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["plan", "--pair", _pair_with(), "--format", "json"], cli_mod.MAX_PLAN_SAMPLES),
+        (["verify", "--suite", "paths", "--n", "0", "--trials", "2"], cli_mod.MAX_VERIFY_SAMPLES),
+    ],
+    ids=["plan", "verify"],
+)
+def test_samples_cap_is_accepted_and_named(capsys, argv, cap):
+    code, _, _ = run(capsys, *argv, "--samples", str(cap))
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--samples", str(cap + 1))
+    assert (code, out, err) == (1, "", f"error: --samples must be at most {cap}\n")
 
 
 def test_verify_paths_accepts_n_zero(capsys):
@@ -674,3 +693,42 @@ class TestParsing:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "bounds" in out
+
+
+def _near_antipodes(angle=0.3, gap=0.1):
+    """x = (cos a, sin a) in the fiber over [1 : 0] and y a `gap` short of its antipode."""
+    z = [[1.0, 0.0], [0.0, 0.0]]
+    x = {"z": z, "w": [[math.cos(angle), 0.0], [0.0, 0.0]], "s": math.sin(angle)}
+    b = angle + math.pi - gap
+    y = {"z": z, "w": [[math.cos(b), 0.0], [0.0, 0.0]], "s": math.sin(b)}
+    return json.dumps({"x": x, "y": y})
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+    near = _near_antipodes()
+    argvs = [
+        ["bounds", "--family", "eta-plus-eps", "--n", "4", "--format", "json"],
+        ["bounds", "--family", "no-such-family", "--n", "2"],
+        # piece 1 at --tol-anti 0.5; the default tolerance must come back after it
+        ["plan", "--pair", near, "--tol-anti", "0.5", "--format", "json"],
+        ["plan", "--n", "1"],
+        ["plan", "--pair", near, "--format", "json"],
+        ["verify", "--suite", "tables", "--n-max", "3"],
+        ["verify", "--suite", "paths", "--samples", "1"],
+        ["table", "--family", "k-eta", "--n-max", "4", "--format", "tsv"],
+        ["--help"],
+        ["plan", "--help"],
+        ["bounds", "--family", "k-eta", "--n", "5", "--k", "2"],
+        ["plan", "--pair", near, "--tol-cell", "0.5", "--format", "tsv"],
+    ]
+
+    def transcript():
+        return [run(capsys, *argv) for argv in argvs]
+
+    shared = transcript()
+    assert [code for code, _, _ in shared] == [0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert json.loads(shared[2][1])["piece"] != json.loads(shared[4][1])["piece"]
+    assert transcript() == shared
+    monkeypatch.setattr(cli_mod, "_build_parser", cli_mod._build_parser.__wrapped__)
+    assert transcript() == shared
