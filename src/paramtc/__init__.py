@@ -30,7 +30,6 @@ from .bundle import (
     DdotDescriptor,
     canonical_line_bundle,
     cpn,
-    ddot_euler_height,
     ddot_of,
     k_fold_sum,
     point,

@@ -28,8 +28,9 @@ Parametrized-TC rules (fiberwise planning on the sphere bundle):
 * R4 -- TC <= secat of the orthogonal-complement sphere bundle + 1, when
         that secat is known (structural hint, or the dimension rule over
         the total space, using dim = dim B + q - 1).
-* R5 -- when dim B <= (q-1) * height(complement Euler class): equality,
-        TC = height + 1.
+* R5 -- R4's upper bound meets R2's lower bound.  The dimension rule in
+        ``_known_secat_ddot`` pins the complement secat at h2, so
+        TC = h2 + 1.
 * R6 -- dimension/connectivity upper bound (`tc_dimension_upper`) with
         fiber S^{q-1}, connectivity q-2.
 * R7 -- a complex structure sections the complement bundle by e -> i*e,
@@ -286,6 +287,8 @@ def kernel_cuplength(
     orthogonal to the section; its cup-length is height(e) + 1.  The mod-2
     statement replaces ``e`` by the (q-1)-st Stiefel-Whitney class.  Either
     input may be absent; the corresponding slot of the result is ``None``.
+    The bound engine reads only the integral slot; the mod-2 slot states
+    the mod-2 form of the result, which the tests check.
     """
     if q < 2:
         raise ValueError("rank must be >= 2")
@@ -329,15 +332,13 @@ def _known_secat_ddot(d: DdotDescriptor) -> int | None:
 
 def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
     """Bound the parametrized TC of fiberwise planning on the sphere bundle of ``xi``."""
+    d = ddot_of(xi)  # refuses rank < 2 before any rule fires
     q = xi.rank
-    if q < 2:
-        raise ValueError("rank must be >= 2")
     b = _Builder(Quantity.PARAMETRIZED_TC)
 
     fiber_dim = q - 1
     b.add_lower("R1", _CITE_R1, 1 if fiber_dim % 2 else 2)
 
-    d = ddot_of(xi)
     h2 = None
     complement_h = None
     if d.euler_ddot is not None:
@@ -349,7 +350,7 @@ def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
     known = _known_secat_ddot(d)
     if known is not None:
         b.add_upper("R4", _CITE_R4, known + 1)
-    if h2 is not None and xi.base.dimension <= (q - 1) * h2:
+    if h2 is not None and known == h2:
         b.add_exact("R5", _CITE_R5, h2 + 1)
         if complement_h is not None and complement_h % 2 == 1:
             b.add_note(NOTE_STRONGER)

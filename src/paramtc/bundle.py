@@ -27,7 +27,6 @@ from .ring import (
     RingDescriptor,
     RingElement,
     cup,
-    height,
     mod2_reduce,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "whitney_sum",
     "k_fold_sum",
     "ddot_of",
-    "ddot_euler_height",
     "family_bundle",
 ]
 
@@ -138,7 +136,7 @@ class BundleDescriptor:
                 f"(rank {self.rank}, {sections} sections)"
             )
         if self.orientable:
-            if mod2_reduce(self.euler) != self.sw_total.homogeneous_part(self.rank):
+            if mod2_reduce(self.euler) != self.top_sw:
                 raise ValueError("mod-2 reduction of the Euler class must be the top SW class")
             if sections >= 1 and not self.euler.is_zero:
                 raise ValueError("a nowhere-zero section forces a vanishing Euler class")
@@ -278,13 +276,17 @@ class DdotDescriptor:
     is the sphere of unit vectors perpendicular to ``e`` in the same fiber.
     ``euler_ddot`` is its Euler class expressed in the rank-two module of
     the sphere bundle, available exactly in the modelled case (trivial-line
-    splitting with odd total rank); ``secat_ddot_hint`` is a known value of
-    its sectional category, when structure forces one.
+    splitting with odd total rank); every other fact about the bundle is
+    read off ``parent``.
     """
 
     parent: BundleDescriptor
     euler_ddot: LHElement | None
-    secat_ddot_hint: int | None
+
+    @property
+    def secat_ddot_hint(self) -> int | None:
+        """Known secat: a complex structure on the parent sections it (multiply by i)."""
+        return 0 if self.parent.has_complex_structure else None
 
 
 def ddot_of(parent: BundleDescriptor) -> DdotDescriptor:
@@ -293,32 +295,14 @@ def ddot_of(parent: BundleDescriptor) -> DdotDescriptor:
     When the parent splits as (orientable complement) + (trivial line) and
     has odd rank q, the fiber spheres have Euler characteristic 2 and the
     Euler class is exactly ``-e + 2U`` in the rank-two module with
-    parameter ``e`` = complement Euler class, ``deg U = q - 1``.  A complex
-    structure on the parent yields a global section (multiply by i), hence
-    sectional category 0.  In all other cases no symbolic model is
-    available.
+    parameter ``e`` = complement Euler class, ``deg U = q - 1``.  In all
+    other cases no symbolic model is available.
     """
     if parent.rank < 2:
         raise ValueError("rank must be >= 2")
-    hint = 0 if parent.has_complex_structure else None
     euler_ddot = None
     if parent.rank % 2 == 1 and parent.complement_euler is not None:
         e = parent.complement_euler
         module = LHModule(parent.base.ring, e, parent.rank - 1)
         euler_ddot = module.element(-e, parent.base.ring.scalar(2))
-    return DdotDescriptor(parent=parent, euler_ddot=euler_ddot, secat_ddot_hint=hint)
-
-
-def ddot_euler_height(d: DdotDescriptor) -> int:
-    """Height of the complement-bundle Euler class, by the parity rule.
-
-    With h the height of the base Euler class e: even powers collapse to
-    ``e^{2m}`` pulled back, odd powers carry a ``2 e^{2m} U`` term, so the
-    height is h + 1 when h is even (the base has no 2-torsion, as no base
-    does) and h otherwise.  Always equals the direct power computation
-    ``lh_height(euler_ddot)``.
-    """
-    if d.euler_ddot is None:
-        raise ValueError("no symbolic Euler class is available for this bundle")
-    h = height(d.euler_ddot.module.euler_eta)
-    return h + 1 if h % 2 == 0 else h
+    return DdotDescriptor(parent=parent, euler_ddot=euler_ddot)

@@ -53,7 +53,7 @@ __all__ = ["execute", "main", "UsageError"]
 
 MAX_CONSTRUCTION_DEPTH = 64  # nested construction nodes in a descriptor
 MAX_PLAN_SAMPLES = 10_000  # points on one planned path: about 50 MB peak at the cap
-MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path, 512 paths at once: about 240 MB peak
+MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path; chunks hold verify.CHECK_POINTS points
 
 
 class UsageError(ValueError):
@@ -127,7 +127,10 @@ def _load_json(text_or_path: str, what: str):
         path = Path(text_or_path)
         if not path.exists():
             raise UsageError(f"{what} file not found: {text_or_path}")
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+            raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
@@ -466,23 +469,8 @@ def _cmd_verify(args) -> int:
         )
 
     if args.format == "json":
-        print(
-            _json_dumps(
-                {
-                    "seed": seed,
-                    "outcomes": [
-                        {
-                            "suite": o.suite,
-                            "cases": o.cases,
-                            "failures": [list(f) for f in o.failures],
-                            "passed": o.passed,
-                            "worst": o.worst,
-                        }
-                        for o in outcomes
-                    ],
-                }
-            )
-        )
+        payload = [{**dataclasses.asdict(o), "passed": o.passed} for o in outcomes]
+        print(_json_dumps({"seed": seed, "outcomes": payload}))
     else:
         print(f"seed: {seed}")
         for o in outcomes:

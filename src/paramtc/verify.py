@@ -57,7 +57,7 @@ BASE_DRIFT_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-9
 LIPSCHITZ_BOUND = 2 * math.pi + 2
 LIPSCHITZ_STEP = 1e-4
-CHECK_CHUNK = 512  # paths whose samples are stacked at once, bounding memory
+CHECK_POINTS = 512 * 21  # path samples stacked at once, bounding memory
 
 
 @dataclass
@@ -419,15 +419,16 @@ def check_paths_random(
     """Full path-invariant sweep over random and boundary pairs.
 
     One case per pair, each path checked as by :func:`check_path`, planned
-    and checked ``CHECK_CHUNK`` pairs at a time; ``worst`` holds the largest
-    value of each invariant over all paths.
+    and checked in chunks of ``CHECK_POINTS // samples`` pairs (at least
+    one); ``worst`` holds the largest value of each invariant over all paths.
     """
     out = VerificationOutcome(f"paths(n={n})")
     rng = np.random.default_rng(seed)
     cases = [(f"random#{i}", *random_pair(rng, n)) for i in range(trials)]
     cases += [(f"boundary#{i}", x, y) for i, (x, y, _) in enumerate(boundary_pairs(n))]
-    for lo in range(0, len(cases), CHECK_CHUNK):
-        chunk = cases[lo : lo + CHECK_CHUNK]
+    step = max(1, CHECK_POINTS // max(samples, 1))  # _check_paths refuses samples < 2
+    for lo in range(0, len(cases), step):
+        chunk = cases[lo : lo + step]
         for (digest, _, _), sub in zip(chunk, _check_paths([plan(x, y) for _, x, y in chunk], samples)):
             out.cases += 1
             for d, invariant, value in sub.failures:

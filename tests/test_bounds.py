@@ -225,6 +225,47 @@ class TestTCSphereBundle:
         assert entry.detail == f"lower >= {h2 + 1}"
 
 
+def _cross_check_bundles(n):
+    """k eta + t eps in both orders and generic, non-orientable and complex-flagged
+    rank-2 bundles alone and beside eps, over CP^n."""
+    base = cpn(n)
+    x, x2 = base.ring.generator("x"), base.mod2_ring.generator("x")
+    eps = trivial_bundle(base, 1)
+    bundles = [trivial_bundle(base, r) for r in range(2, 6)]
+    for k in range(1, 5):
+        keta = k_fold_sum(eta(n), k)
+        bundles.append(keta)
+        for t in range(1, 4):
+            bundles += [whitney_sum(keta, trivial_bundle(base, t)), whitney_sum(trivial_bundle(base, t), keta)]
+    one_plus_x = base.mod2_ring.one() + x2
+    for tau in (
+        BundleDescriptor(base=base, rank=2, euler=x * 3, sw_total=one_plus_x),
+        BundleDescriptor(base=base, rank=2, euler=None, sw_total=one_plus_x),
+        dataclasses.replace(trivial_bundle(base, 2), has_complex_structure=True),
+    ):
+        bundles += [tau, whitney_sum(tau, eps), whitney_sum(eps, tau)]
+    return bundles
+
+
+def _rule_bound(report, rule):
+    """The bound ``rule`` contributed to ``report``, or None when it did not fire."""
+    details = [p.detail for p in report.provenance if p.rule == rule]
+    assert len(details) <= 1
+    return int(details[0].split()[-1]) if details else None
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_rule_cross_checks(n):
+    for xi in _cross_check_bundles(n):
+        r = tc_sphere_bundle(xi)
+        r2, r3, r4, r5 = (_rule_bound(r, rule) for rule in ("R2", "R3", "R4", "R5"))
+        # R2 reads the module height, R3 the base height with the parity rule: both reach h2 + 1
+        assert r2 == r3
+        # R5 is exactly R4's upper bound meeting R2's lower bound
+        assert (r5 is not None) == (r2 is not None and r4 == r2)
+        assert r5 in (None, r2)
+
+
 class TestSplitUpper:
     def test_both_zero(self):
         assert tc_split_upper(0, 0) == 2

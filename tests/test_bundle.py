@@ -9,9 +9,9 @@ import pytest
 from paramtc.bundle import (
     BaseSpace,
     BundleDescriptor,
+    DdotDescriptor,
     canonical_line_bundle,
     cpn,
-    ddot_euler_height,
     ddot_of,
     k_fold_sum,
     point,
@@ -19,6 +19,7 @@ from paramtc.bundle import (
     whitney_sum,
 )
 from paramtc.ring import cup, lh_height, mod2_reduce, power
+from references import ddot_euler_height
 
 
 def eta(n: int) -> BundleDescriptor:
@@ -210,6 +211,10 @@ class TestDdot:
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError):
             ddot_of(trivial_bundle(cpn(1), 1))
+
+    def test_only_the_euler_class_is_stored(self):
+        # everything else about the complement bundle is read off the parent
+        assert [f.name for f in dataclasses.fields(DdotDescriptor)] == ["parent", "euler_ddot"]
 
 
 class TestDdotEulerHeight:

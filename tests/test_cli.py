@@ -680,6 +680,40 @@ def test_closed_pipe_exits_1_without_traceback():
     assert "Exception ignored" not in result.stderr
 
 
+UNREADABLE_FILE_PROBES = {
+    "descriptor-directory": ["bounds", "--descriptor", "{dir}"],
+    "descriptor-empty-path": ["bounds", "--descriptor", ""],  # the working directory
+    "descriptor-not-utf8": ["bounds", "--descriptor", "{bytes}"],
+    "pair-directory": ["plan", "--pair", "{dir}"],
+    "pair-not-utf8": ["plan", "--pair", "{bytes}"],
+}
+
+
+def _unreadable_argv(probe, tmp_path):
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{")
+    return [a.format(dir=tmp_path, bytes=tmp_path / "bytes.json") for a in UNREADABLE_FILE_PROBES[probe]]
+
+
+@pytest.mark.parametrize("probe", sorted(UNREADABLE_FILE_PROBES))
+def test_unreadable_file_is_usage_error(capsys, tmp_path, monkeypatch, probe):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *_unreadable_argv(probe, tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def test_unreadable_file_exits_1_without_traceback(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "paramtc.cli", *_unreadable_argv("descriptor-not-utf8", tmp_path)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: cannot read descriptor file ")
+    assert "Traceback" not in result.stderr
+
+
 class TestParsing:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run(capsys)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramtc.bundle import ddot_euler_height, ddot_of, family_bundle
+from paramtc.bundle import ddot_of, family_bundle
 from paramtc.ring import (
     Coefficients,
     CoefficientDomainError,
@@ -26,6 +26,7 @@ from paramtc.ring import (
     power,
     _height,
 )
+from references import ddot_euler_height
 
 
 def cpn_ring(n: int) -> RingDescriptor:

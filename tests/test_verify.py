@@ -14,7 +14,7 @@ from paramtc.planner import BundlePoint, PlannedPath, ProjectiveRep, plan
 from paramtc.ring import lh_power
 from paramtc.verify import (
     BASE_DRIFT_TOL,
-    CHECK_CHUNK,
+    CHECK_POINTS,
     DEFAULT_SEED,
     ENDPOINT_TOL,
     LIPSCHITZ_BOUND,
@@ -347,7 +347,7 @@ class TestArrayChecker:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_paths_random_matches_merged_reference(self, n):
-        trials = CHECK_CHUNK + 88  # two chunks
+        trials = CHECK_POINTS // 21 + 88  # two chunks
         out = check_paths_random(n, trials=trials, seed=DEFAULT_SEED + n, samples=21)
         rng = np.random.default_rng(DEFAULT_SEED + n)
         cases = [(f"random#{i}", *random_pair(rng, n)) for i in range(trials)]
@@ -381,6 +381,24 @@ class TestCheckPathsRandom:
     def test_small_sweep_passes(self):
         out = check_paths_random(2, trials=150, seed=DEFAULT_SEED, samples=15)
         assert out.passed, out.failures[:3]
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            check_paths_random(1, trials=2, samples=samples)
+
+    def test_chunks_shrink_as_samples_grow(self, monkeypatch):
+        sizes = []
+        real = verify_mod._check_paths
+
+        def counting(paths, samples):
+            sizes.append(len(paths))
+            return real(paths, samples)
+
+        monkeypatch.setattr(verify_mod, "_check_paths", counting)
+        out = check_paths_random(1, trials=25, seed=DEFAULT_SEED, samples=1000)
+        assert out.passed, out.failures[:3]
+        assert max(sizes) == CHECK_POINTS // 1000 and sum(sizes) == out.cases
 
 
 class TestCheckBoundsTables:
