@@ -5,57 +5,21 @@ complexity intervals for unit sphere bundles from characteristic-class
 data, with a full provenance trail, and runs the matching explicit
 piecewise planners on sphere bundles over complex projective space.
 
-The ring, bundle and bound layers load with the package.  The planner and
-the verification suites need numpy, so they and their names below load on
-first access (PEP 562): ``import paramtc`` alone does not import numpy.
+The package exposes every name in the ``__all__`` of ``ring``, ``bundle``
+and ``bounds``, which load with it.  The planner and the verification
+suites need numpy, so the names in their ``__all__`` (``paramtc.plan``,
+``paramtc.TOL_ANTI``, ...) load on first access (PEP 562): ``import
+paramtc`` alone does not import numpy.
 """
 
 import importlib
 
-from .bounds import (
-    ContradictionError,
-    NOTE_STRONGER,
-    ProvenanceEntry,
-    Quantity,
-    TCReport,
-    kernel_cuplength,
-    secat_sphere_bundle,
-    tc_dimension_upper,
-    tc_sphere_bundle,
-    tc_split_upper,
-)
-from .bundle import (
-    BaseSpace,
-    BundleDescriptor,
-    DdotDescriptor,
-    canonical_line_bundle,
-    cpn,
-    ddot_of,
-    k_fold_sum,
-    point,
-    trivial_bundle,
-    whitney_sum,
-)
-from .ring import (
-    Coefficients,
-    CoefficientDomainError,
-    Generator,
-    HomogeneityError,
-    LHElement,
-    LHModule,
-    RingDescriptor,
-    RingElement,
-    RingMismatchError,
-    cup,
-    height,
-    lh_height,
-    lh_multiply,
-    lh_power,
-    mod2_reduce,
-    power,
-)
+from .bounds import *  # noqa: F403 - each layer's __all__ is the package's interface
+from .bundle import *  # noqa: F403
+from .ring import *  # noqa: F403
 
-# name -> submodule that defines it; loaded on first access
+# name -> submodule that defines it; loaded on first access.  Exactly the
+# __all__ of planner and verify, spelled out so that numpy stays unloaded.
 _LAZY = {
     **dict.fromkeys(
         [
@@ -64,6 +28,9 @@ _LAZY = {
             "NotSameFiberError",
             "PlannedPath",
             "ProjectiveRep",
+            "TOL_ANTI",
+            "TOL_ANTI_MIN",
+            "TOL_CELL",
             "cell_index",
             "cell_section",
             "classify_pair",
@@ -84,6 +51,8 @@ _LAZY = {
             "check_path",
             "check_paths_random",
             "lh_rewrite_oracle",
+            "lh_to_dense",
+            "oracle_power",
         ],
         "verify",
     ),

@@ -12,7 +12,7 @@ Sectional-category rules (sphere bundle of a rank-q bundle over B):
 * ``euler-height``-- secat >= height of the Euler class (orientable case).
 * ``section``     -- a nowhere-zero section gives a global sphere-bundle
                      section, so secat = 0.
-* ``dimension-equality`` -- orientable with dim B <= q*h + q, h the Euler
+* ``dimension-equality`` -- orientable with dim B <= q*(h + 1), h the Euler
   height: all obstructions above the first vanish, so secat = h exactly.
 
 Parametrized-TC rules (fiberwise planning on the sphere bundle):
@@ -225,6 +225,12 @@ _CITE_DIM_EQ = (
 )
 
 
+def _dimension_pins(dimension: int, rank: int, h: int) -> bool:
+    """Schwarz's rule: a rank-``rank`` sphere bundle whose Euler class has height
+    ``h`` has secat <= h over a base of this dimension (steps 1-3 of R5 above)."""
+    return dimension <= rank * (h + 1)
+
+
 def secat_sphere_bundle(xi: BundleDescriptor) -> TCReport:
     """Bound the sectional category of the unit sphere bundle of ``xi``."""
     b = _Builder(Quantity.SECAT_SPHERE_BUNDLE)
@@ -241,7 +247,7 @@ def secat_sphere_bundle(xi: BundleDescriptor) -> TCReport:
 
     if xi.sections >= 1:
         b.add_exact("section", _CITE_SECTION, 0)
-    if h_euler is not None and xi.base.dimension <= q * h_euler + q:
+    if h_euler is not None and _dimension_pins(xi.base.dimension, q, h_euler):
         b.add_exact("dimension-equality", _CITE_DIM_EQ, h_euler)
 
     return b.build()
@@ -324,8 +330,8 @@ def _known_secat_ddot(d: DdotDescriptor) -> int | None:
         return d.secat_ddot_hint
     if d.euler_ddot is not None:
         h2 = lh_height(d.euler_ddot)
-        # dimension rule over the total space: dim + q - 1 <= (q-1)(h2+1)
-        if d.parent.base.dimension <= (d.parent.rank - 1) * h2:
+        q = d.parent.rank  # the base of E'' -> E' is the sphere bundle E'
+        if _dimension_pins(d.parent.base.dimension + q - 1, q - 1, h2):
             return h2
     return None
 

@@ -123,17 +123,20 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 
 def _load_json(text_or_path: str, what: str):
     text = text_or_path
+    missing = False  # a value naming no file is parsed too: inline JSON of another type
     if not text_or_path.lstrip().startswith("{"):
         path = Path(text_or_path)
-        if not path.exists():
-            raise UsageError(f"{what} file not found: {text_or_path}")
         try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+            missing = not path.exists()
+            if not missing:
+                text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, a name too long, not UTF-8
             raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        if missing:
+            raise UsageError(f"{what} file not found: {text_or_path}") from exc
         raise UsageError(f"malformed {what} JSON: {exc}") from exc
     except RecursionError as exc:
         raise UsageError(f"{what} JSON is nested too deeply") from exc
@@ -310,17 +313,11 @@ def _render_report_human(report: TCReport, heading: str) -> str:
     return "\n".join(lines)
 
 
-def _report_payload(report: TCReport, **params) -> dict:
-    payload = {"report": report.to_dict()}
-    payload.update(params)
-    return payload
-
-
 def _render_report(report: TCReport, fmt: str, heading: str, **params) -> str:
     if fmt == "human":
         return _render_report_human(report, heading)
     if fmt == "json":
-        return _json_dumps(_report_payload(report, **params))
+        return _json_dumps({"report": report.to_dict(), **params})
     # tsv: one header row, one data row
     keys = sorted(params)
     header = keys + ["lower", "upper", "exact"]

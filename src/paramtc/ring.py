@@ -160,6 +160,8 @@ class RingElement:
     structural equality of the canonical form.
     """
 
+    # hand-written, unlike LHElement: __init__ canonicalises ``terms`` before
+    # storing them, which a dataclass could only do by storing them twice
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingDescriptor, terms: Mapping[tuple[int, ...], int]):
@@ -353,26 +355,23 @@ def mod2_reduce(a: RingElement) -> RingElement:
     return RingElement(a.ring.mod2_shadow(), dict(a.terms))
 
 
+@dataclass(frozen=True, slots=True)
 class LHElement:
     """A class ``base + fiber*U`` of one rank-two module.
 
     ``module`` (an :class:`LHModule`) fixes the multiplication and the
     degree of ``U``; ``base`` and ``fiber`` live in its ring.  The
-    representation in the basis ``{1, U}`` is unique, so equality is
-    componentwise.
+    representation in the basis ``{1, U}`` is unique, so equality and the
+    hash are componentwise.
     """
 
-    __slots__ = ("module", "base", "fiber")
+    module: LHModule
+    base: RingElement
+    fiber: RingElement
 
-    def __init__(self, module: "LHModule", base: RingElement, fiber: RingElement):
-        if base.ring != module.ring or fiber.ring != module.ring:
+    def __post_init__(self) -> None:
+        if self.base.ring != self.module.ring or self.fiber.ring != self.module.ring:
             raise RingMismatchError("base and fiber must live in the module's ring")
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fiber", fiber)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("LHElement is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -416,14 +415,6 @@ class LHElement:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LHElement):
-            return NotImplemented
-        return self.module == other.module and self.base == other.base and self.fiber == other.fiber
-
-    def __hash__(self) -> int:
-        return hash((self.module, self.base, self.fiber))
 
     def __repr__(self) -> str:
         return f"({self.base!r}) + ({self.fiber!r})*U"

@@ -702,15 +702,49 @@ def test_unreadable_file_is_usage_error(capsys, tmp_path, monkeypatch, probe):
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
 
-def test_unreadable_file_exits_1_without_traceback(tmp_path):
+def _cli_subprocess(argv):
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "paramtc.cli", *_unreadable_argv("descriptor-not-utf8", tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "paramtc.cli", *argv],
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_unreadable_file_exits_1_without_traceback(tmp_path):
+    result = _cli_subprocess(_unreadable_argv("descriptor-not-utf8", tmp_path))
     assert result.returncode == 1
     assert result.stderr.startswith("error: cannot read descriptor file ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("value", ["[1, 2]", "null", "3", '"x.json"', "true"])
+@pytest.mark.parametrize("command, what", [("bounds", "descriptor"), ("plan", "pair")])
+def test_inline_json_of_another_type_is_named(capsys, tmp_path, monkeypatch, command, what, value):
+    monkeypatch.chdir(tmp_path)  # where no file has the value's name
+    code, out, err = run(capsys, command, f"--{what}", value)
+    assert (code, out, err) == (1, "", f"error: {what} must be a JSON object\n")
+
+
+@pytest.mark.parametrize("command, what", [("bounds", "descriptor"), ("plan", "pair")])
+def test_missing_file_that_is_not_json_is_named(capsys, tmp_path, command, what):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, command, f"--{what}", missing)
+    assert (code, out, err) == (1, "", f"error: {what} file not found: {missing}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--pair", "[1, 2]" + " " * 300],
+        ["bounds", "--descriptor", "x" * 5000],
+    ],
+    ids=["pair", "descriptor"],
+)
+def test_value_too_long_for_a_file_name_exits_1_without_traceback(argv):
+    result = _cli_subprocess(argv)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: cannot read {argv[1][2:]} file ")
     assert "Traceback" not in result.stderr
 
 

@@ -1,4 +1,8 @@
-"""Every name a module lists in ``__all__`` must resolve, and so must the package re-exports."""
+"""Every name a module lists in ``__all__`` must resolve, and so must the package re-exports.
+
+The package republishes the ``__all__`` of ``ring``, ``bundle`` and ``bounds``
+and loads exactly the ``__all__`` of ``planner`` and ``verify`` lazily.
+"""
 
 from __future__ import annotations
 
@@ -27,6 +31,21 @@ def test_lazy_package_names_resolve(name):
     module = importlib.import_module(f"paramtc.{paramtc._LAZY[name]}")
     assert getattr(paramtc, name) is getattr(module, name)
     assert name in dir(paramtc)
+
+
+@pytest.mark.parametrize("name", ["ring", "bundle", "bounds"])
+def test_package_republishes_eager_layers(name):
+    module = importlib.import_module(f"paramtc.{name}")
+    assert [n for n in module.__all__ if n not in vars(paramtc)] == []
+
+
+def test_lazy_names_are_exactly_planner_and_verify_all():
+    from paramtc import planner, verify
+
+    assert paramtc._LAZY == {
+        **dict.fromkeys(planner.__all__, "planner"),
+        **dict.fromkeys(verify.__all__, "verify"),
+    }
 
 
 def test_unknown_package_name_is_attribute_error():

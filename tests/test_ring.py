@@ -14,6 +14,7 @@ from paramtc.ring import (
     CoefficientDomainError,
     Generator,
     HomogeneityError,
+    LHElement,
     LHModule,
     RingDescriptor,
     RingMismatchError,
@@ -176,6 +177,32 @@ class TestLHModule:
             LHModule(r, cpn_ring(4).generator("x"), 2)
         with pytest.raises(ValueError, match="u_degree"):
             LHModule(r, r.zero(), 0)
+
+
+class TestLHElement:
+    def test_fields_are_read_only(self):
+        p = lh_cpn(3).u()
+        with pytest.raises(AttributeError):
+            p.base = p.fiber
+
+    def test_equal_elements_built_apart_are_equal_and_hash_equal(self):
+        m = lh_cpn(3)
+        p = LHElement(lh_cpn(3), cpn_ring(3).generator("x"), cpn_ring(3).one())
+        q = m.element(m.ring.generator("x"), m.ring.one())
+        assert p is not q and p == q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
+
+    def test_same_components_in_other_modules_differ(self):
+        r = cpn_ring(3)
+        a = LHModule(r, r.generator("x"), 2).u()
+        b = LHModule(r, r.zero(), 2).u()
+        assert (a.base, a.fiber) == (b.base, b.fiber)
+        assert a != b
+
+    def test_components_must_live_in_the_module_ring(self):
+        with pytest.raises(RingMismatchError):
+            LHElement(lh_cpn(3), cpn_ring(4).one(), cpn_ring(3).zero())
 
 
 class TestLHHeight:
