@@ -63,6 +63,7 @@ TOL_CELL = 1e-10
 TOL_ANTI_MIN = 1e-10
 
 _SNAP_EPS = 1e-12
+_REP_TOL = 1e-12
 _UNIT_TOL = 1e-9
 
 
@@ -77,6 +78,16 @@ class DegenerateRepresentativeError(ValueError):
 def _hdot(a: np.ndarray, b: np.ndarray) -> complex:
     """Hermitian inner product <a, b> = sum a_i * conj(b_i)."""
     return complex(np.vdot(b, a))
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, bit for bit those of ``np.linalg.norm``.
+
+    Both sum the squares with BLAS dot products, real and imaginary parts apart.
+    """
+    if np.iscomplexobj(a):
+        return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+    return np.sqrt(np.vecdot(a, a))
 
 
 def _as_complex_vector(v) -> np.ndarray:
@@ -96,7 +107,7 @@ class ProjectiveRep:
     def __init__(self, z):
         z = _as_complex_vector(z)
         norm = float(np.linalg.norm(z))
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > _REP_TOL:
             raise ValueError(f"representative must be a unit vector (norm {norm})")
         z = z.copy()
         z.setflags(write=False)
@@ -104,6 +115,22 @@ class ProjectiveRep:
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("ProjectiveRep is immutable")
+
+    @classmethod
+    def _from_rows(cls, z: np.ndarray) -> list["ProjectiveRep"]:
+        """One representative per row of ``z``, the constructor's checks run on the whole array.
+
+        If any row fails, every row goes through the constructor, whose error
+        names the first bad one.  Otherwise ``z`` becomes read-only and each
+        representative holds a row of it.
+        """
+        if not (np.isfinite(z).all(axis=-1) & (np.abs(_norms(z) - 1.0) <= _REP_TOL)).all():
+            return [cls(row) for row in z]
+        z.setflags(write=False)
+        reps = [object.__new__(cls) for _ in z]
+        for rep, row in zip(reps, z):
+            object.__setattr__(rep, "z", row)
+        return reps
 
     @classmethod
     def normalized(cls, v) -> "ProjectiveRep":
@@ -147,9 +174,42 @@ class BundlePoint:
             raise ValueError(f"|w|^2 + s^2 = {norm2} is not 1")
         w = w.copy()
         w.setflags(write=False)
+        self._set(z, w, s)
+
+    def _set(self, z: ProjectiveRep, w: np.ndarray, s: float) -> None:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "s", s)
+
+    @classmethod
+    def _trusted(cls, z: ProjectiveRep, w: np.ndarray, s: float) -> "BundlePoint":
+        """The point ``(z, w, s)`` unchecked: for invariants checked already or exact by construction.
+
+        ``w`` must be read-only and ``s`` a float.
+        """
+        point = object.__new__(cls)
+        point._set(z, w, s)
+        return point
+
+    @classmethod
+    def _from_rows(cls, reps: Sequence[ProjectiveRep], w: np.ndarray, s: np.ndarray) -> list["BundlePoint"]:
+        """The points ``(reps[i], w[i], s[i])``, the constructor's checks run on the whole arrays.
+
+        The same finiteness, line and norm checks with the same tolerances.
+        If any row fails, every row goes through the constructor, whose error
+        names the first bad one.  Otherwise ``w`` becomes read-only and each
+        point holds a row of it.
+        """
+        z = np.array([rep.z for rep in reps]).reshape(w.shape)  # (0, n + 1) for no rows too
+        with np.errstate(invalid="ignore", over="ignore"):  # rows with inf or nan fail anyway
+            residual = _norms(w - np.vecdot(z, w)[:, np.newaxis] * z)
+            norm2 = _norms(w) ** 2 + s * s
+            valid = np.isfinite(w).all(axis=-1) & np.isfinite(s) & (residual <= _UNIT_TOL)
+            valid &= np.abs(norm2 - 1.0) <= _UNIT_TOL
+        if not valid.all():
+            return [cls(rep, wi, si) for rep, wi, si in zip(reps, w, s)]
+        w.setflags(write=False)
+        return [cls._trusted(rep, wi, si) for rep, wi, si in zip(reps, w, s.tolist())]
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("BundlePoint is immutable")
@@ -162,14 +222,20 @@ class BundlePoint:
     @classmethod
     def section_point(cls, z: ProjectiveRep, sign: float = 1.0) -> "BundlePoint":
         """The distinguished pole ``(w = 0, s = +-1)`` of the trivial summand."""
-        return cls(z, np.zeros_like(z.z), math.copysign(1.0, sign))
+        if not isinstance(z, ProjectiveRep):  # the point is built unchecked
+            raise TypeError(f"section_point needs a ProjectiveRep, got {type(z).__name__}")
+        w = np.zeros_like(z.z)
+        w.setflags(write=False)
+        return cls._trusted(z, w, math.copysign(1.0, sign))
 
     @property
     def w_norm(self) -> float:
         return float(np.linalg.norm(self.w))
 
     def antipode(self) -> "BundlePoint":
-        return BundlePoint(self.z, -self.w, -self.s)
+        w = -self.w  # negation is exact, so the invariants carry over
+        w.setflags(write=False)
+        return BundlePoint._trusted(self.z, w, -self.s)
 
     def __repr__(self) -> str:
         return f"BundlePoint(w={np.array2string(self.w, precision=4)}, s={self.s:.4f})"
@@ -249,7 +315,10 @@ def classify_pair(
 
 
 class ArcSegment:
-    """Great-circle arc ``cos(a) p + sin(a) d``, ``a`` running from 0 to ``angle``."""
+    """Great-circle arc ``cos(a) p + sin(a) d``, ``a`` running from 0 to ``angle``.
+
+    ``arc`` holds ``(w_p, s_p, w_d, s_d, angle)``: pivot, direction, angle.
+    """
 
     def __init__(
         self,
@@ -259,19 +328,7 @@ class ArcSegment:
         angle: float,
     ):
         self.kind = kind
-        self.wp, self.sp = pivot
-        self.wd, self.sd = direction
-        self.angle = angle
-
-    def fiber_at(self, u):
-        """Fiber coordinates ``(w, s)`` at local time ``u``.
-
-        ``u`` is a float, or an array of local times giving one row of ``w``
-        and one entry of ``s`` per time.
-        """
-        a = u * self.angle
-        c, s = np.cos(a), np.sin(a)
-        return np.multiply.outer(c, self.wp) + np.multiply.outer(s, self.wd), c * self.sp + s * self.sd
+        self.arc = (*pivot, *direction, angle)
 
 
 def _geodesic(start: tuple[np.ndarray, float], end: tuple[np.ndarray, float]) -> ArcSegment:
@@ -294,15 +351,62 @@ def _phase_rotation(w: np.ndarray, phi: float) -> ArcSegment:
     return ArcSegment("phase-rotation", (w, 0.0), (1j * w, 0.0), phi)
 
 
+def _breakpoints(m: int) -> tuple[float, ...]:
+    """Global times at which the m segments of a path begin, then 1."""
+    return tuple(i / m for i in range(m)) + (1.0,)
+
+
+class _ArcStack:
+    """The segments of paths over one CP^n as arrays: the one evaluator of planned paths.
+
+    Row i of ``wp``, ``sp``, ``wd``, ``sd`` and ``angle`` holds segment i's
+    arc.  The paths' segments follow each other in order: path k's ``count[k]``
+    segments start at row ``first[k]``.
+    """
+
+    def __init__(self, paths: Sequence["PlannedPath"]):
+        self.segments = [segment for path in paths for segment in path.segments]
+        self.count = np.array([len(path.segments) for path in paths])
+        self.first = np.cumsum(self.count) - self.count
+        arcs = zip(*(segment.arc for segment in self.segments))
+        self.wp, self.sp, self.wd, self.sd, self.angle = map(np.array, arcs)
+
+    def at(self, index, u):
+        """Fiber coordinates of segment ``index`` at local time ``u``, the two broadcast together.
+
+        Returns ``w`` with one more trailing axis than the broadcast shape, and ``s``.
+        """
+        a = u * self.angle[index]
+        c, s = np.cos(a), np.sin(a)
+        w = c[..., np.newaxis] * self.wp[index] + s[..., np.newaxis] * self.wd[index]
+        return w, c * self.sp[index] + s * self.sd[index]
+
+    def paths_at(self, t: np.ndarray):
+        """Every path at the global times ``t``: ``w[path, *t.shape, :]`` and ``s[path, *t.shape]``.
+
+        Each time belongs to the segment whose half-open interval ``[t0, t1)``
+        of the path's breakpoints holds it (t = 1 to the last), at local time
+        ``(t - t0) / (t1 - t0)``.  Paths are grouped by segment count, so the
+        dispatch loops over the few counts, not over paths.
+        """
+        index = np.empty(self.count.shape + t.shape, dtype=np.intp)
+        u = np.empty(index.shape)
+        for m in set(self.count.tolist()):  # not np.unique, which imports numpy.ma
+            breaks = np.array(_breakpoints(m))
+            k = np.searchsorted(breaks[1:-1], t, side="right")
+            rows = self.count == m
+            index[rows] = self.first[rows].reshape((-1,) + (1,) * t.ndim) + k
+            u[rows] = (t - breaks[k]) / (breaks[k + 1] - breaks[k])
+        return self.at(index, u)
+
+
 class PlannedPath:
     """A piecewise-analytic path in one fiber, evaluable at any t in [0, 1].
 
     The m ``segments`` share global time equally: segment i runs over
-    ``[i/m, (i+1)/m]`` (the ``breakpoints``), evaluated in its own unit-time
-    parametrization through its ``fiber_at(u)``, which takes a 1-D array of
-    local times and returns one row of ``w`` and one entry of ``s`` per
-    time.  The path lies over the base point of ``start`` and carries the
-    piece index of the partition that produced it.
+    ``[i/m, (i+1)/m]`` (the ``breakpoints``), in its own unit-time
+    parametrization.  The path lies over the base point of ``start`` and
+    carries the piece index of the partition that produced it.
     """
 
     __slots__ = ("piece", "z", "segments", "breakpoints", "start", "end")
@@ -311,41 +415,37 @@ class PlannedPath:
         self.piece = piece
         self.z = start.z
         self.segments = tuple(segments)
-        self.breakpoints = tuple(i / len(segments) for i in range(len(segments))) + (1.0,)
+        self.breakpoints = _breakpoints(len(segments))
         self.start = start
         self.end = end
 
     def fiber_at(self, t):
         """Fiber coordinates at global time ``t``, a float or an array of times.
 
-        Each time belongs to the segment whose half-open interval
-        ``[t0, t1)`` holds it (t = 1 to the last), and each segment is
-        evaluated once on all of its times.  A float ``t`` gives one ``w``
-        and a scalar ``s``.
+        Each time is evaluated on the segment whose half-open interval
+        ``[t0, t1)`` holds it (t = 1 on the last).  A float ``t`` gives one
+        ``w`` and a scalar ``s``; an array gives one row of ``w`` and one entry
+        of ``s`` per time.
         """
         t = np.asarray(t, dtype=float)
         if not ((0.0 <= t) & (t <= 1.0)).all():
             raise ValueError("t must lie in [0, 1]")
-        breaks = np.array(self.breakpoints)
-        index = np.searchsorted(breaks[1:-1], t, side="right")
-        u = (t - breaks[index]) / (breaks[index + 1] - breaks[index])
-        w = np.empty(t.shape + self.z.z.shape, dtype=complex)
-        s = np.empty(t.shape)
-        for i, segment in enumerate(self.segments):
-            on = index == i
-            w[on], s[on] = segment.fiber_at(u[on])
-        return w, s[()]
+        w, s = _ArcStack([self]).paths_at(t)
+        return w[0], s[0]
 
     def at(self, t: float) -> BundlePoint:
-        w, s = self.fiber_at(t)
-        return BundlePoint(self.z, w, s)
+        return self._points(np.array([t], dtype=float))[0]
 
     def sample(self, count: int) -> list[BundlePoint]:
         """Evaluate at ``count`` uniformly spaced times including both ends."""
         if count < 2:
             raise ValueError("need at least two samples")
-        w, s = self.fiber_at(np.arange(count) / (count - 1))
-        return [BundlePoint(self.z, wi, si) for wi, si in zip(w, s)]
+        return self._points(np.arange(count) / (count - 1))
+
+    def _points(self, t: np.ndarray) -> list[BundlePoint]:
+        """The path at the times ``t`` as points, checked once on the whole array."""
+        w, s = self.fiber_at(t)
+        return BundlePoint._from_rows([self.z] * t.size, w, s)
 
     def __repr__(self) -> str:
         kinds = ", ".join(seg.kind for seg in self.segments)

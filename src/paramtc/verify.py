@@ -32,6 +32,8 @@ from .planner import (
     NotSameFiberError,
     PlannedPath,
     ProjectiveRep,
+    _ArcStack,
+    _norms,
     classify_pair,
     plan,
 )
@@ -222,7 +224,7 @@ def check_path(path: PlannedPath, samples: int = 50) -> VerificationOutcome:
     consecutive grid points, and at step 1e-4 of the segment's unit-time
     parametrization, must stay below 2*pi + 2 (each segment is a
     great-circle arc with angular speed at most pi, plus conditioning slack).
-    The path and each segment are evaluated once on the whole grid, as
+    The path and its segments are evaluated on the whole grid at once, as
     arrays.  A violation is recorded, never raised, even where the path
     leaves the sphere or the line; ``worst`` holds the largest measured
     value of each invariant.
@@ -245,7 +247,8 @@ def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[Verificatio
     fine = np.flatnonzero(u + LIPSCHITZ_STEP <= 1.0)
 
     # path samples [path, t]: endpoints, normalization, base line
-    w, s = map(np.stack, zip(*(path.fiber_at(t) for path in paths)))
+    stack = _ArcStack(paths)
+    w, s = stack.paths_at(t)
     endpoint = np.empty((len(paths), 2))
     ends = ([path.start for path in paths], [path.end for path in paths])
     for j, (index, points) in enumerate(zip((0, -1), ends)):
@@ -260,11 +263,10 @@ def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[Verificatio
 
     # segment grids [segment, u], then the fine points: coarse rates to the next
     # grid point, fine rates at the declared step
-    segments = [segment for path in paths for segment in path.segments]
-    first = np.cumsum([0] + [len(path.segments) for path in paths])  # each path's first segment
+    first, counts = stack.first, stack.count
     grid = np.concatenate([u, u[fine] + LIPSCHITZ_STEP])
-    gw, gs = map(np.stack, zip(*(segment.fiber_at(grid) for segment in segments)))
-    rate = np.full((len(segments), samples, 2), -np.inf)  # [segment, grid point, coarse | fine]
+    gw, gs = stack.at(np.arange(len(stack.segments))[:, np.newaxis], grid)
+    rate = np.full((len(stack.segments), samples, 2), -np.inf)  # [segment, grid point, coarse | fine]
     rate[:, :-1, 0] = _fiber_gap(np.diff(gw[:, :samples], axis=1), np.diff(gs[:, :samples], axis=1)) / spacing
     fine_w, fine_s = gw[:, samples:] - gw[:, fine], gs[:, samples:] - gs[:, fine]
     rate[:, fine, 1] = _fiber_gap(fine_w, fine_s) / LIPSCHITZ_STEP
@@ -276,9 +278,9 @@ def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[Verificatio
         "endpoint": endpoint.max(axis=1),
         "normalization": normalization.max(axis=1),
         "base-line drift": drift.max(axis=1),
-        "continuity": np.maximum.reduceat(rate.max(axis=(1, 2)), first[:-1]),
+        "continuity": np.maximum.reduceat(rate.max(axis=(1, 2)), first),
     }
-    cases = 2 + samples + np.diff(first) * (samples - 1 + fine.size)
+    cases = 2 + samples + counts * (samples - 1 + fine.size)
     outcomes = [
         VerificationOutcome("path", count, worst=dict(zip(worst, row)))
         for count, row in zip(cases.tolist(), zip(*(values.tolist() for values in worst.values())))
@@ -287,7 +289,7 @@ def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[Verificatio
     failing = (
         endpoint_fails.any(axis=1)
         | sample_fails.any(axis=(1, 2))
-        | np.logical_or.reduceat(rate_fails.any(axis=(1, 2)), first[:-1])
+        | np.logical_or.reduceat(rate_fails.any(axis=(1, 2)), first)
     )
     for p in np.flatnonzero(failing):
         out = outcomes[p]
@@ -296,7 +298,7 @@ def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[Verificatio
         for i, j in np.argwhere(sample_fails[p]):
             invariant, value = (("normalization", normalization), ("base-line drift", drift))[j]
             out.record(f"t={t[i]:.6f}", invariant, float(value[p, i]))
-        for k, i, j in np.argwhere(rate_fails[first[p] : first[p + 1]]):
+        for k, i, j in np.argwhere(rate_fails[first[p] : first[p] + counts[p]]):
             out.record(f"segment={k} u={u[i]:.6f}", "continuity", float(rate[first[p] + k, i, j]))
     return outcomes
 
@@ -304,20 +306,25 @@ def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[Verificatio
 # -- pair generation ------------------------------------------------------------
 
 
-def _random_rep(rng: np.random.Generator, n: int) -> ProjectiveRep:
-    v = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    return ProjectiveRep.normalized(v)
+def _random_pairs(rng: np.random.Generator, n: int, count: int) -> list[tuple[BundlePoint, BundlePoint]]:
+    """``count`` random same-fiber pairs over CP^n, drawn as one block of normals.
 
-
-def _random_fiber_point(rng: np.random.Generator, z: ProjectiveRep) -> BundlePoint:
-    v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    return BundlePoint.from_fiber(z, complex(v[0], v[1]), float(v[2]))
-
-
-def random_pair(rng: np.random.Generator, n: int) -> tuple[BundlePoint, BundlePoint]:
-    z = _random_rep(rng, n)
-    return _random_fiber_point(rng, z), _random_fiber_point(rng, z)
+    Row i of the block holds pair i's draws in the order of drawing it alone:
+    the real and then the imaginary parts of the representative, then x and
+    y as vectors of C + R = R^3.  Each is normalised, and the points are
+    checked once per array.
+    """
+    block = rng.standard_normal((count, 2 * n + 8))
+    v = block[:, : n + 1] + 1j * block[:, n + 1 : 2 * n + 2]
+    z = v / _norms(v)[:, np.newaxis]
+    reps = ProjectiveRep._from_rows(z)
+    fiber = block[:, 2 * n + 2 :].reshape(count, 2, 3)
+    fiber = fiber / _norms(fiber)[..., np.newaxis]
+    x, y = (
+        BundlePoint._from_rows(reps, (f[:, 0] + 1j * f[:, 1])[:, np.newaxis] * z, f[:, 2])
+        for f in (fiber[:, 0], fiber[:, 1])
+    )
+    return list(zip(x, y))
 
 
 def _cell_rep(n: int, j: int) -> ProjectiveRep:
@@ -361,6 +368,8 @@ def check_partition(n: int, trials: int = 1000, seed: int = DEFAULT_SEED) -> Ver
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     out = VerificationOutcome(f"partition(n={n})")
     rng = np.random.default_rng(seed)
     witnessed: set[int] = set()
@@ -387,8 +396,7 @@ def check_partition(n: int, trials: int = 1000, seed: int = DEFAULT_SEED) -> Ver
         if path.piece != piece:
             out.record(digest, "path piece mismatch", path.piece)
 
-    for i in range(trials):
-        x, y = random_pair(rng, n)
+    for i, (x, y) in enumerate(_random_pairs(rng, n, trials)):
         run_case(x, y, f"random#{i}", None)
     for i, (x, y, expected) in enumerate(boundary_pairs(n)):
         run_case(x, y, f"boundary#{i}", expected)
@@ -400,10 +408,10 @@ def check_partition(n: int, trials: int = 1000, seed: int = DEFAULT_SEED) -> Ver
         out.record("coverage", "pieces witnessed", f"missing={sorted(missing)} extra={sorted(extra)}")
 
     out.cases += 1
-    za, zb = _random_rep(rng, n), _random_rep(rng, n)
-    if abs(complex(np.vdot(za.z, zb.z))) < 0.999:
+    (xa, _), (xb, _) = _random_pairs(rng, n, 2)
+    if abs(complex(np.vdot(xa.z.z, xb.z.z))) < 0.999:
         try:
-            classify_pair(_random_fiber_point(rng, za), _random_fiber_point(rng, zb))
+            classify_pair(xa, xb)
             out.record("cross-fiber", "not rejected", "classify_pair accepted")
         except NotSameFiberError:
             pass
@@ -421,10 +429,16 @@ def check_paths_random(
     One case per pair, each path checked as by :func:`check_path`, planned
     and checked in chunks of ``CHECK_POINTS // samples`` pairs (at least
     one); ``worst`` holds the largest value of each invariant over all paths.
+    The random pairs are drawn as one block, exactly the stream of drawing
+    them one by one.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     out = VerificationOutcome(f"paths(n={n})")
     rng = np.random.default_rng(seed)
-    cases = [(f"random#{i}", *random_pair(rng, n)) for i in range(trials)]
+    cases = [(f"random#{i}", x, y) for i, (x, y) in enumerate(_random_pairs(rng, n, trials))]
     cases += [(f"boundary#{i}", x, y) for i, (x, y, _) in enumerate(boundary_pairs(n))]
     step = max(1, CHECK_POINTS // max(samples, 1))  # _check_paths refuses samples < 2
     for lo in range(0, len(cases), step):

@@ -14,10 +14,14 @@ import pytest
 from paramtc.planner import (
     TOL_ANTI,
     TOL_ANTI_MIN,
+    TOL_CELL,
+    ArcSegment,
     BundlePoint,
     DegenerateRepresentativeError,
     NotSameFiberError,
+    PlannedPath,
     ProjectiveRep,
+    _ArcStack,
     cell_index,
     cell_section,
     classify_pair,
@@ -26,7 +30,8 @@ from paramtc.planner import (
     plan,
     plan_hopf,
 )
-from paramtc.verify import check_path
+from paramtc.verify import boundary_pairs, check_path
+from references import masked_fiber_at, random_pair
 
 RNG = np.random.default_rng(20240517)
 
@@ -60,6 +65,10 @@ class TestTypes:
     def test_section_point(self):
         p = BundlePoint.section_point(random_rep(2))
         assert p.w_norm == 0.0 and p.s == 1.0
+        assert BundlePoint.section_point(p.z, -0.5).s == -1.0 and not p.w.flags.writeable
+        for not_a_rep in (p, [1.0, 0.0]):
+            with pytest.raises(TypeError, match="needs a ProjectiveRep"):
+                BundlePoint.section_point(not_a_rep)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rep_must_be_finite(self, bad):
@@ -401,6 +410,84 @@ class TestPlannedPath:
                 assert np.array_equal(w[i], wi) and s[i] == si
         with pytest.raises(ValueError):
             paths[0].fiber_at(np.array([0.5, 1.5]))
+
+    @staticmethod
+    def _near_threshold_pairs(n):
+        """Pairs either side of the classification tolerances over CP^n.
+
+        Antipodes with |w| at 0.5x and 2x TOL_ANTI, and pole antipodes over
+        a base point whose coordinate after the j-th has magnitude 0.5x or 2x
+        TOL_CELL (none after the last); each exact and with y nudged 1e-9 off -x,
+        which adds a snap segment.
+        """
+        pairs = []
+        for factor in (0.5, 2.0):
+            z = random_rep(n)
+            r, phase = factor * TOL_ANTI, np.exp(0.7j)
+            x = BundlePoint.from_fiber(z, r * phase, math.sqrt(1.0 - r * r))
+            nudged = BundlePoint.from_fiber(z, -(r + 1e-9) * phase, -math.sqrt(1.0 - (r + 1e-9) ** 2))
+            pairs += [(x, x.antipode()), (x, nudged)]
+            for j in range(n + 1):
+                head = RNG.standard_normal(j + 1) + 1j * RNG.standard_normal(j + 1)
+                m = factor * TOL_CELL if j < n else 0.0
+                v = np.zeros(n + 1, dtype=complex)
+                v[: j + 1] = head / np.linalg.norm(head) * math.sqrt(1.0 - m * m)
+                v[j + 1 :] = m * np.exp(2.1j)
+                pole = BundlePoint.section_point(ProjectiveRep.normalized(v), -1.0)
+                near = BundlePoint.from_fiber(pole.z, 1e-9, math.sqrt(1.0 - 1e-18))
+                pairs += [(pole, pole.antipode()), (pole, near)]
+        return pairs
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_stacked_evaluation_matches_the_masked_dispatch(self, n):
+        rng = np.random.default_rng(n)
+        pairs = [random_pair(rng, n) for _ in range(30)] + self._near_threshold_pairs(n)
+        pairs += [(x, y) for x, y, _ in boundary_pairs(n)] if n >= 1 else []
+        paths = [plan(x, y) for x, y in pairs]
+        assert {len(path.segments) for path in paths} == {1, 2, 3, 4}
+        breaks = [0.25, 0.5, 0.75, 1 / 3, 2 / 3]
+        t = np.concatenate([np.linspace(0.0, 1.0, 41), rng.uniform(0.0, 1.0, 40), breaks])
+        stacked_w, stacked_s = _ArcStack(paths).paths_at(t)
+        for k, path in enumerate(paths):
+            w, s = masked_fiber_at(path, t)
+            # bit for bit, signed zeros included
+            for got_w, got_s in (path.fiber_at(t), (stacked_w[k], stacked_s[k])):
+                assert got_w.tobytes() == w.tobytes() and got_s.tobytes() == s.tobytes()
+            for ti in t[::7].tolist():
+                wi, si = masked_fiber_at(path, ti)
+                got_w, got_s = path.fiber_at(ti)
+                assert got_w.tobytes() == wi.tobytes()
+                assert np.float64(got_s).tobytes() == np.float64(si).tobytes()
+
+    def test_sample_raises_as_the_constructor_on_a_broken_path(self):
+        z = random_rep(2)
+        x = random_point(z)
+        wp, sp, wd, sd, angle = plan(x, random_point(z)).segments[0].arc
+        for broken in (
+            ArcSegment("off the sphere", (1.01 * wp, 1.01 * sp), (1.01 * wd, 1.01 * sd), angle),
+            ArcSegment("off the line", (wp + 1e-3 * np.array([0, 1, 1j]), sp), (wd, sd), angle),
+            ArcSegment("not finite", (wp, sp), (wd, sd), math.nan),
+        ):
+            path = PlannedPath(0, [broken], x, x)
+            w, s = path.fiber_at(np.arange(9) / 8)
+            with pytest.raises(ValueError) as expected:
+                [BundlePoint(z, wi, si) for wi, si in zip(w, s)]
+            with pytest.raises(ValueError) as got:
+                path.sample(9)
+            assert str(got.value) == str(expected.value)
+            with pytest.raises(ValueError) as got:
+                path.at(0.0)
+            assert str(got.value) == str(expected.value)
+
+    def test_sample_points_are_the_checked_constructor_points(self):
+        z = random_rep(3)
+        x = random_point(z)
+        path = plan(x, x.antipode())
+        w, s = path.fiber_at(np.arange(9) / 8)
+        for point, wi, si in zip(path.sample(9), w, s):
+            expected = BundlePoint(z, wi, si)
+            assert point.z is z and point.w.tobytes() == expected.w.tobytes() and point.s == expected.s
+            assert type(point.s) is float and not point.w.flags.writeable
 
     def test_sample_counts(self):
         z = random_rep(1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import replace
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import paramtc.planner as planner_mod
 import paramtc.verify as verify_mod
 from paramtc.planner import BundlePoint, PlannedPath, ProjectiveRep, plan
 from paramtc.ring import lh_power
@@ -30,10 +32,10 @@ from paramtc.verify import (
     lh_rewrite_oracle,
     lh_to_dense,
     oracle_power,
-    random_pair,
     _check_paths,
     _cpn_module,
 )
+from references import random_pair
 
 
 def _expand_words(expression, n):
@@ -192,14 +194,15 @@ def _scalar_check_path(path, samples):
 
     spacing = 1.0 / (samples - 1)
     for k, segment in enumerate(path.segments):
-        grid = [segment.fiber_at(i * spacing) for i in range(samples)]
+        alone = PlannedPath(path.piece, [segment], path.start, path.end)  # its global time is u
+        grid = [alone.fiber_at(i * spacing) for i in range(samples)]
         for i in range(samples):
             u = i * spacing
             rates = []
             if i + 1 < samples:
                 rates.append(_rate(grid[i], grid[i + 1], spacing))
             if u + LIPSCHITZ_STEP <= 1.0:
-                rates.append(_rate(grid[i], segment.fiber_at(u + LIPSCHITZ_STEP), LIPSCHITZ_STEP))
+                rates.append(_rate(grid[i], alone.fiber_at(u + LIPSCHITZ_STEP), LIPSCHITZ_STEP))
             for rate in rates:
                 out.cases += 1
                 if measure("continuity", rate) > LIPSCHITZ_BOUND:
@@ -222,18 +225,33 @@ def _assert_same_outcome(got, expected):
 
 
 def _corrupted(path, corrupt):
-    """``path`` with every segment's ``fiber_at`` passed through ``corrupt(u, w, s)``."""
+    """``path`` with every segment's evaluations passed through ``corrupt(u, w, s)``.
 
-    class Corrupted:
-        def __init__(self, inner):
-            self.kind = inner.kind
-            self.inner = inner
-
-        def fiber_at(self, u):
-            return corrupt(u, *self.inner.fiber_at(u))
-
-    segments = [Corrupted(segment) for segment in path.segments]
+    The segments only carry the corruption: the ``corruptible`` fixture
+    applies it inside the one arc evaluator, so the array checker and the
+    per-point reference both see the same corrupted path.
+    """
+    segments = [copy.copy(segment) for segment in path.segments]
+    for segment in segments:
+        segment.corrupt = corrupt
     return PlannedPath(path.piece, segments, path.start, path.end)
+
+
+@pytest.fixture
+def corruptible(monkeypatch):
+    """Pass every arc evaluation of a segment through the corruption it carries, if any."""
+    real = planner_mod._ArcStack.at
+
+    def at(stack, index, u):
+        w, s = real(stack, index, u)
+        tags = [getattr(segment, "corrupt", None) for segment in stack.segments]
+        for corrupt in set(tags) - {None}:
+            on = np.isin(index, [i for i, tag in enumerate(tags) if tag is corrupt])
+            bad_w, bad_s = corrupt(u, w, s)
+            w, s = np.where(on[..., np.newaxis], bad_w, w), np.where(on, bad_s, s)
+        return w, s
+
+    monkeypatch.setattr(planner_mod._ArcStack, "at", at)
 
 
 def _sign_flip(u, w, s):
@@ -262,6 +280,7 @@ def _pushed_off_line(u, w, s):
     return w, s
 
 
+@pytest.mark.usefixtures("corruptible")
 class TestCheckPath:
     def _pair(self):
         z = ProjectiveRep.normalized(np.array([1.0, 0.5 + 0.25j, -0.25j]))
@@ -312,6 +331,7 @@ class TestCheckPath:
         assert out.worst["continuity"] == max(v for _, inv, v in out.failures if inv == "continuity")
 
 
+@pytest.mark.usefixtures("corruptible")
 class TestArrayChecker:
     """The array checker against the per-point reference ``_scalar_check_path``."""
 
@@ -376,8 +396,32 @@ class TestCheckPartition:
         with pytest.raises(ValueError):
             check_partition(0)
 
+    def test_rejects_negative_trials(self):
+        with pytest.raises(ValueError, match="^trials must be >= 0, got -1"):
+            check_partition(2, trials=-1)
+
 
 class TestCheckPathsRandom:
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_block_draw_is_the_per_pair_draw(self, n):
+        rng, reference = np.random.default_rng(DEFAULT_SEED + n), np.random.default_rng(DEFAULT_SEED + n)
+        got = verify_mod._random_pairs(rng, n, 40)
+        expected = [random_pair(reference, n) for _ in range(40)]
+        for pair, reference_pair in zip(got, expected):
+            for point, ref in zip(pair, reference_pair):
+                assert point.z.z.tobytes() == ref.z.z.tobytes() and point.w.tobytes() == ref.w.tobytes()
+                assert point.s == ref.s and type(point.s) is float
+                assert not (point.z.z.flags.writeable or point.w.flags.writeable)
+        assert rng.standard_normal() == reference.standard_normal()  # the same stream position
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"n": 1, "trials": -5}, "trials"), ({"n": -1}, "n"), ({"n": -3}, "n")],
+    )
+    def test_bad_arguments_are_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
+            check_paths_random(**{"trials": 2, **kwargs})
+
     def test_small_sweep_passes(self):
         out = check_paths_random(2, trials=150, seed=DEFAULT_SEED, samples=15)
         assert out.passed, out.failures[:3]
