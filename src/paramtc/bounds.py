@@ -280,41 +280,23 @@ def tc_dimension_upper(fiber_dim: int, fiber_connectivity: int, base_dim: int) -
     return -(-num // den) - 1  # ceil(num/den) - 1
 
 
-def kernel_cuplength(
-    q: int,
-    euler_eta: RingElement | None = None,
-    sw_top: RingElement | None = None,
-) -> tuple[int | None, int | None]:
+def kernel_cuplength(q: int, euler_eta: RingElement) -> int:
     """Cup-length of the kernel of restriction along a sphere-bundle section.
 
     For a rank-q bundle whose sphere bundle has a section, the kernel of the
     induced map on cohomology is the principal ideal on ``U - e`` where
-    ``e`` (degree q-1) is the Euler class of the bundle of vectors
-    orthogonal to the section; its cup-length is height(e) + 1.  The mod-2
-    statement replaces ``e`` by the (q-1)-st Stiefel-Whitney class.  Either
-    input may be absent; the corresponding slot of the result is ``None``.
-    The bound engine reads only the integral slot; the mod-2 slot states
-    the mod-2 form of the result, which the tests check.
+    ``e = euler_eta`` (integral, of degree q-1) is the Euler class of the
+    bundle of vectors orthogonal to the section; its cup-length is
+    height(e) + 1.
     """
     if q < 2:
         raise ValueError("rank must be >= 2")
-    integral = None
-    mod_two = None
-    if euler_eta is not None:
-        if euler_eta.ring.coefficients is not Coefficients.INTEGER:
-            raise ValueError("euler_eta must have integer coefficients")
-        d = euler_eta.homogeneous_degree()
-        if d is not None and d != q - 1:
-            raise ValueError(f"euler_eta degree {d} != q - 1 = {q - 1}")
-        integral = height(euler_eta) + 1
-    if sw_top is not None:
-        if sw_top.ring.coefficients is not Coefficients.MOD2:
-            raise ValueError("sw_top must have mod-2 coefficients")
-        d = sw_top.homogeneous_degree()
-        if d is not None and d != q - 1:
-            raise ValueError(f"sw_top degree {d} != q - 1 = {q - 1}")
-        mod_two = height(sw_top) + 1
-    return integral, mod_two
+    if euler_eta.ring.coefficients is not Coefficients.INTEGER:
+        raise ValueError("euler_eta must have integer coefficients")
+    d = euler_eta.homogeneous_degree()
+    if d is not None and d != q - 1:
+        raise ValueError(f"euler_eta degree {d} != q - 1 = {q - 1}")
+    return height(euler_eta) + 1
 
 
 def tc_split_upper(secat_tau_ddot: int, secat_tau_dot: int) -> int:
@@ -350,7 +332,7 @@ def tc_sphere_bundle(xi: BundleDescriptor) -> TCReport:
     if d.euler_ddot is not None:
         h2 = lh_height(d.euler_ddot)
         b.add_lower("R2", _CITE_R2, h2 + 1)
-        complement_h = kernel_cuplength(q, euler_eta=d.euler_ddot.module.euler_eta)[0] - 1
+        complement_h = kernel_cuplength(q, d.euler_ddot.module.euler_eta) - 1
         b.add_lower("R3", _CITE_R3, complement_h + (2 if complement_h % 2 == 0 else 1))
 
     known = _known_secat_ddot(d)

@@ -1,15 +1,13 @@
-"""Exact arithmetic in truncated graded cohomology rings.
+"""Exact arithmetic in the truncated cohomology ring of CP^n.
 
-Elements live in quotients ``Z[g_1,...,g_k]/(g_i^{t_i})`` or the mod-2
-analogue, with each generator carrying a cohomological degree.  Over the
-integers all generator degrees must be even, so graded commutativity is
-honest commutativity and no Koszul signs arise; odd-degree generators are
-allowed over Z/2 where the signs vanish anyway.  This covers every ring the
-rest of the package computes in, most importantly
+A ring is
 
     H*(CP^n) = Z[x]/(x^{n+1}),  deg x = 2,
 
-and its mod-2 shadow.
+or its mod-2 shadow; the ring of a point is the one truncated at x^1, Z
+itself.  x has even degree, so graded commutativity is honest
+commutativity and no Koszul signs arise.  An element maps each power of x,
+an ``int``, to its coefficient.
 
 On top of the ring sits a rank-two free module with basis ``{1, U}``
 (:class:`LHModule`), modelling the cohomology of a unit sphere bundle that
@@ -32,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from operator import index
+from typing import Mapping
 
 __all__ = [
     "Coefficients",
@@ -75,9 +74,10 @@ class CoefficientDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Generator:
-    """A polynomial generator with a degree and a nilpotency order.
+    """The generator x, with its degree and its nilpotency order.
 
-    ``truncation`` is the smallest power that vanishes: ``g^truncation == 0``.
+    ``truncation`` is the smallest power that vanishes: ``x^truncation == 0``.
+    :class:`RingDescriptor` accepts only degree 2.
     """
 
     name: str
@@ -87,33 +87,32 @@ class Generator:
 
 @dataclass(frozen=True)
 class RingDescriptor:
-    """A truncated graded-commutative polynomial ring.
+    """Z[x]/(x^t) with deg x = 2, or its mod-2 shadow.
 
-    Over :data:`Coefficients.INTEGER` every generator degree must be even;
-    odd degrees are only permitted over :data:`Coefficients.MOD2`.
+    ``generators`` holds one generator of degree 2, whose truncation is t,
+    or none: the ring of a point, Z itself, where t = 1.
     """
 
     generators: tuple[Generator, ...]
     coefficients: Coefficients = Coefficients.INTEGER
 
     def __post_init__(self) -> None:
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names: {names}")
+        if len(self.generators) > 1:
+            raise ValueError(f"a ring has at most one generator, got {len(self.generators)}")
         for g in self.generators:
-            if g.degree < 1:
-                raise ValueError(f"generator {g.name!r} must have degree >= 1")
-            if g.truncation < 1:
-                raise ValueError(f"generator {g.name!r} must have truncation >= 1")
-            if self.coefficients is Coefficients.INTEGER and g.degree % 2:
-                raise ValueError(
-                    f"generator {g.name!r} has odd degree {g.degree}; odd degrees "
-                    "require mod-2 coefficients"
-                )
+            if g.degree != 2:
+                raise ValueError(f"generator {g.name!r} must have degree 2, not {g.degree!r}")
+            if type(g.truncation) is not int or g.truncation < 1:
+                raise ValueError(f"generator {g.name!r} must have an int truncation >= 1")
+
+    @property
+    def truncation(self) -> int:
+        """The smallest power of x that vanishes: ``x^truncation == 0``."""
+        return self.generators[0].truncation if self.generators else 1
 
     # -- element factories -------------------------------------------------
 
-    def element(self, terms: Mapping[tuple[int, ...], int]) -> "RingElement":
+    def element(self, terms: Mapping[int, int]) -> "RingElement":
         return RingElement(self, terms)
 
     def zero(self) -> "RingElement":
@@ -123,29 +122,20 @@ class RingDescriptor:
         return self.scalar(1)
 
     def scalar(self, c: int) -> "RingElement":
-        return RingElement(self, {(0,) * len(self.generators): c})
+        return RingElement(self, {0: c})
 
     def generator(self, name: str) -> "RingElement":
-        i = self.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return RingElement(self, {exps: 1})
-
-    def index(self, name: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.name == name:
-                return i
-        raise KeyError(f"no generator named {name!r}")
+        if not any(g.name == name for g in self.generators):
+            raise KeyError(f"no generator named {name!r}")
+        return RingElement(self, {1: 1})
 
     def mod2_shadow(self) -> "RingDescriptor":
-        """Same generators and truncations, coefficients reduced to Z/2."""
+        """Same generator and truncation, coefficients reduced to Z/2."""
         return RingDescriptor(self.generators, Coefficients.MOD2)
 
     def top_degree(self) -> int:
         """Largest degree in which a nonzero element can live."""
-        return sum(g.degree * (g.truncation - 1) for g in self.generators)
-
-    def term_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(e * g.degree for e, g in zip(exps, self.generators))
+        return 2 * (self.truncation - 1)
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{g.name}(deg {g.degree})^{g.truncation}=0" for g in self.generators)
@@ -153,36 +143,35 @@ class RingDescriptor:
 
 
 class RingElement:
-    """A sparse element of a :class:`RingDescriptor`.
+    """A sparse element of a :class:`RingDescriptor`, keyed by the power of x.
 
-    Stored canonically: no zero coefficients, no exponent at or above its
-    generator's truncation, mod-2 coefficients normalised to 1.  Equality is
-    structural equality of the canonical form.
+    ``terms`` maps each power ``k`` of x (an ``int``, of degree ``2k``) to
+    its coefficient.  Stored canonically: no zero coefficients, no power at
+    or above the truncation, mod-2 coefficients normalised to 1.  Equality
+    is structural equality of the canonical form.
     """
 
     # hand-written, unlike LHElement: __init__ canonicalises ``terms`` before
     # storing them, which a dataclass could only do by storing them twice
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: RingDescriptor, terms: Mapping[tuple[int, ...], int]):
-        ngen = len(ring.generators)
-        canon: dict[tuple[int, ...], int] = {}
+    def __init__(self, ring: RingDescriptor, terms: Mapping[int, int]):
+        t = ring.truncation
         mod2 = ring.coefficients is Coefficients.MOD2
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != ngen:
-                raise ValueError(f"exponent vector {exps} has wrong length (need {ngen})")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if any(e >= g.truncation for e, g in zip(exps, ring.generators)):
-                continue  # the quotient map kills this term
-            c = int(coeff) % 2 if mod2 else int(coeff)
-            if c:
-                canon[exps] = canon.get(exps, 0) + c
-                if mod2:
-                    canon[exps] %= 2
-                if not canon[exps]:
-                    del canon[exps]
+        canon: dict[int, int] = {}
+        for k, coeff in terms.items():
+            if type(k) is not int:  # bool is an int subclass, and a tuple was the old spelling
+                raise TypeError(f"term key {k!r} must be an int, the power of x, not {type(k).__name__}")
+            if k < 0:
+                raise ValueError(f"negative power of x: {k}")
+            try:
+                c = index(coeff)
+            except TypeError:
+                raise TypeError(f"coefficient {coeff!r} of x^{k} is not an integer") from None
+            if mod2:
+                c %= 2
+            if c and k < t:  # the quotient map kills x^k for k >= t
+                canon[k] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", canon)
 
@@ -196,7 +185,7 @@ class RingElement:
         return not self.terms
 
     def degrees(self) -> set[int]:
-        return {self.ring.term_degree(e) for e in self.terms}
+        return {2 * k for k in self.terms}
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms; ``None`` for the zero element."""
@@ -208,10 +197,7 @@ class RingElement:
         return degs.pop()
 
     def homogeneous_part(self, degree: int) -> "RingElement":
-        return RingElement(
-            self.ring,
-            {e: c for e, c in self.terms.items() if self.ring.term_degree(e) == degree},
-        )
+        return RingElement(self.ring, {k: c for k, c in self.terms.items() if 2 * k == degree})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -222,19 +208,19 @@ class RingElement:
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check_ring(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
         return RingElement(self.ring, out)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, {e: -c for e, c in self.terms.items()})
+        return RingElement(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElement(self.ring, {e: c * other for e, c in self.terms.items()})
+            return RingElement(self.ring, {k: c * other for k, c in self.terms.items()})
         if isinstance(other, RingElement):
             return cup(self, other)
         return NotImplemented
@@ -251,19 +237,12 @@ class RingElement:
     def __hash__(self) -> int:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
-    def _sorted_terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(sorted(self.terms.items(), key=lambda t: (self.ring.term_degree(t[0]), t[0])))
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
         pieces = []
-        for exps, coeff in self._sorted_terms():
-            mono = "*".join(
-                g.name if e == 1 else f"{g.name}^{e}"
-                for e, g in zip(exps, self.ring.generators)
-                if e
-            )
+        for k, coeff in sorted(self.terms.items()):
+            mono = "" if k == 0 else self.ring.generators[0].name + ("" if k == 1 else f"^{k}")
             if not mono:
                 pieces.append(str(coeff))
             elif coeff == 1:
@@ -272,18 +251,19 @@ class RingElement:
                 pieces.append(f"-{mono}")
             else:
                 pieces.append(f"{coeff}*{mono}")
-        out = " + ".join(pieces).replace("+ -", "- ")
-        return out
+        return " + ".join(pieces).replace("+ -", "- ")
 
 
 def cup(a: RingElement, b: RingElement) -> RingElement:
-    """Product of two classes, with truncation relations applied."""
+    """Product of two classes: x^i * x^j = x^(i+j), killed from the truncation on."""
     a._check_ring(b)
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
+    t = a.ring.truncation
+    out: dict[int, int] = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            k = ka + kb
+            if k < t:
+                out[k] = out.get(k, 0) + ca * cb
     return RingElement(a.ring, out)
 
 
@@ -309,8 +289,9 @@ def _height(a, multiply, top: int) -> int:
     the lower bits, keeping a stored square in the accumulator whenever the
     product survives.  This costs at most ``2 * h.bit_length()`` products
     instead of ``h`` (exponentiation by squaring, Knuth, TAOCP vol. 2,
-    section 4.6.3).  Both the degree cap and the zero check are needed:
-    squares can die below ``top``, over Z/2 or in two-generator rings.
+    section 4.6.3).  In the ring a nonzero homogeneous ``c * x^k`` survives
+    until the degree cap, over Z and over Z/2 alike; the zero check serves
+    the module, where with ``e = 0`` already ``U * U == 0`` below ``top``.
     """
     if a.is_zero:
         return 0

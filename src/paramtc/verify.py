@@ -160,10 +160,10 @@ def lh_to_dense(p: LHElement, n: int) -> tuple[list[int], list[int]]:
     """
     a = [0] * (n + 1)
     b = [0] * (n + 1)
-    for exps, coeff in p.base.terms.items():
-        a[exps[0]] += coeff
-    for exps, coeff in p.fiber.terms.items():
-        b[exps[0]] += coeff
+    for k, coeff in p.base.terms.items():
+        a[k] += coeff
+    for k, coeff in p.fiber.terms.items():
+        b[k] += coeff
     return a, b
 
 

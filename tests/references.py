@@ -29,6 +29,23 @@ def ddot_euler_height(d: DdotDescriptor) -> int:
     return h + 1 if h % 2 == 0 else h
 
 
+def dense_product(a: list[int], b: list[int], mod2: bool) -> list[int]:
+    """Product in Z[x]/(x^t), or Z/2[x]/(x^t), of two dense coefficient lists of length t.
+
+    ``a[i]`` is the coefficient of x^i.  The truncated convolution: entry k
+    sums ``a[i] * b[k - i]`` over i <= k < t, reduced mod 2 over Z/2.
+    """
+    t = len(a)
+    out = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(t)]
+    return [c % 2 for c in out] if mod2 else out
+
+
+def dense_sum(a: list[int], b: list[int], mod2: bool) -> list[int]:
+    """Sum of two dense coefficient lists, reduced mod 2 over Z/2."""
+    out = [x + y for x, y in zip(a, b)]
+    return [c % 2 for c in out] if mod2 else out
+
+
 def random_pair(rng: np.random.Generator, n: int) -> tuple[BundlePoint, BundlePoint]:
     """One random same-fiber pair over CP^n, drawn and checked point by point.
 

@@ -69,7 +69,7 @@ class TestSecatSphereBundle:
     def test_unknown_upper_is_unbounded(self):
         # non-orientable: only the Stiefel-Whitney lower bound applies
         base = cpn(8)
-        sw = base.mod2_ring.one() + base.mod2_ring.element({(4,): 1})
+        sw = base.mod2_ring.one() + base.mod2_ring.element({4: 1})
         xi = BundleDescriptor(base=base, rank=8, euler=None, sw_total=sw)
         r = secat_sphere_bundle(xi)
         assert r.lower == 2
@@ -106,30 +106,19 @@ class TestTCDimensionUpper:
 class TestKernelCuplength:
     def test_integral_over_cpn(self):
         for n in (2, 3, 5):
-            ring = cpn(n).ring
-            integral, mod_two = kernel_cuplength(3, euler_eta=ring.generator("x"))
-            assert integral == n + 1
-            assert mod_two is None
+            assert kernel_cuplength(3, cpn(n).ring.generator("x")) == n + 1
 
     def test_vanishing_euler(self):
-        ring = cpn(4).ring
-        integral, _ = kernel_cuplength(3, euler_eta=ring.zero())
-        assert integral == 1
-
-    def test_mod2_over_cpn(self):
-        for n in (2, 4):
-            sw = cpn(n).mod2_ring.generator("x")
-            _, mod_two = kernel_cuplength(3, sw_top=sw)
-            assert mod_two == n + 1
+        assert kernel_cuplength(3, cpn(4).ring.zero()) == 1
 
     def test_degree_mismatch(self):
         ring = cpn(3).ring
         with pytest.raises(ValueError):
-            kernel_cuplength(5, euler_eta=ring.generator("x"))
+            kernel_cuplength(5, ring.generator("x"))
 
     def test_wrong_coefficients(self):
         with pytest.raises(ValueError):
-            kernel_cuplength(3, euler_eta=cpn(3).mod2_ring.generator("x"))
+            kernel_cuplength(3, cpn(3).mod2_ring.generator("x"))
 
 
 class TestTCSphereBundle:

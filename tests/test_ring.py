@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramtc.bundle import ddot_of, family_bundle
+from paramtc.bundle import cpn, ddot_of, family_bundle, point
 from paramtc.ring import (
     Coefficients,
     CoefficientDomainError,
@@ -27,7 +28,7 @@ from paramtc.ring import (
     power,
     _height,
 )
-from references import ddot_euler_height
+from references import ddot_euler_height, dense_product, dense_sum
 
 
 def cpn_ring(n: int) -> RingDescriptor:
@@ -44,18 +45,17 @@ class TestCup:
     def test_square_of_generator(self):
         r = cpn_ring(2)  # Z[x]/(x^3)
         x = r.generator("x")
-        assert cup(x, x) == r.element({(2,): 1})
+        assert cup(x, x) == r.element({2: 1})
 
     def test_truncation_kills_product(self):
         r = cpn_ring(2)
-        x2 = r.element({(2,): 1})
+        x2 = r.element({2: 1})
         assert cup(x2, x2).is_zero
 
     def test_characteristic_two_square(self):
-        r = RingDescriptor((Generator("w", 1, 3),), Coefficients.MOD2)
-        w = r.generator("w")
-        one_plus_w = r.one() + w
-        assert cup(one_plus_w, one_plus_w) == r.one() + r.element({(2,): 1})
+        r = cpn_ring(3).mod2_shadow()
+        one_plus_x = r.one() + r.generator("x")
+        assert cup(one_plus_x, one_plus_x) == r.one() + r.element({2: 1})
 
     def test_ring_mismatch_rejected(self):
         a = cpn_ring(2).generator("x")
@@ -64,10 +64,69 @@ class TestCup:
             cup(a, b)
 
 
+class TestConstruction:
+    """The descriptor form the benchmark builds, and the shapes the ring refuses."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_generator_form_is_cpn(self, n):
+        r = RingDescriptor((Generator("x", 2, n + 1),))
+        assert r == cpn(n).ring
+        assert r.generator("x") == cpn(n).ring.generator("x")
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            (Generator("x", 2, 3), Generator("y", 2, 3)),
+            (Generator("x", 1, 3),),
+            (Generator("x", 4, 3),),
+            (Generator("x", 2, 0),),
+        ],
+        ids=["two-generators", "degree-1", "degree-4", "truncation-0"],
+    )
+    def test_other_shapes_refused(self, generators):
+        with pytest.raises(ValueError):
+            RingDescriptor(generators)
+
+    def test_point_ring_is_truncated_at_one(self):
+        r = RingDescriptor(())
+        assert r == point().ring
+        assert r.truncation == 1 and r.top_degree() == 0
+        assert r.element({0: 3, 1: 5}) == r.scalar(3)
+
+
+class TestTermTypes:
+    """Terms enter keyed by an int power of x, with integer coefficients."""
+
+    def test_float_coefficient_refused(self):
+        with pytest.raises(TypeError, match="2.7"):
+            cpn_ring(3).element({1: 2.7})
+
+    def test_str_coefficient_refused(self):
+        with pytest.raises(TypeError, match="'3'"):
+            cpn_ring(3).element({1: "3"})
+
+    def test_bool_key_refused(self):
+        with pytest.raises(TypeError, match="True"):
+            cpn_ring(3).element({True: 1})
+
+    def test_negative_key_refused(self):
+        with pytest.raises(ValueError, match="-1"):
+            cpn_ring(3).element({-1: 1})
+
+    def test_tuple_key_refused(self):
+        with pytest.raises(TypeError, match=r"\(2,\).*must be an int"):
+            cpn_ring(3).element({(2,): 1})
+
+    def test_numpy_integer_coefficient_accepted(self):
+        r = cpn_ring(3)
+        assert r.element({1: np.int64(3)}) == r.generator("x") * 3
+        assert type(r.element({1: np.int64(3)}).terms[1]) is int
+
+
 class TestPower:
     def test_inside_truncation(self):
         r = cpn_ring(4)  # Z[x]/(x^5)
-        assert power(r.generator("x"), 4) == r.element({(4,): 1})
+        assert power(r.generator("x"), 4) == r.element({4: 1})
 
     def test_at_truncation(self):
         r = cpn_ring(4)
@@ -75,7 +134,7 @@ class TestPower:
 
     def test_square_generator_overshoots(self):
         r = cpn_ring(5)  # Z[x]/(x^6)
-        assert power(r.element({(2,): 1}), 3).is_zero
+        assert power(r.element({2: 1}), 3).is_zero
 
     def test_zeroth_power_is_one(self):
         r = cpn_ring(3)
@@ -97,7 +156,7 @@ class TestHeight:
     def test_square_of_generator(self):
         # x^2 in Z[x]/(x^6): (x^2)^2 = x^4 != 0, (x^2)^3 = x^6 = 0
         r = cpn_ring(5)
-        assert height(r.element({(2,): 1})) == 2
+        assert height(r.element({2: 1})) == 2
 
     def test_non_homogeneous_rejected(self):
         r = cpn_ring(3)
@@ -120,13 +179,13 @@ class TestMod2Reduce:
 
     def test_odd_coefficients_survive(self):
         r = cpn_ring(3)
-        a = r.element({(1,): 1, (2,): 3})
-        assert mod2_reduce(a) == r.mod2_shadow().element({(1,): 1, (2,): 1})
+        a = r.element({1: 1, 2: 3})
+        assert mod2_reduce(a) == r.mod2_shadow().element({1: 1, 2: 1})
 
     def test_sign_is_irrelevant(self):
         n = 4
         r = cpn_ring(n)
-        assert mod2_reduce(r.element({(n,): -1})) == r.mod2_shadow().element({(n,): 1})
+        assert mod2_reduce(r.element({n: -1})) == r.mod2_shadow().element({n: 1})
 
     def test_already_mod2_rejected(self):
         r = cpn_ring(3).mod2_shadow()
@@ -135,8 +194,8 @@ class TestMod2Reduce:
 
     def test_multiplicative(self):
         r = cpn_ring(5)
-        a = r.element({(1,): 3, (2,): -2})
-        b = r.element({(0,): 1, (1,): 5})
+        a = r.element({1: 3, 2: -2})
+        b = r.element({0: 1, 1: 5})
         assert mod2_reduce(cup(a, b)) == cup(mod2_reduce(a), mod2_reduce(b))
 
 
@@ -148,7 +207,7 @@ class TestLHMultiply:
 
     def test_one_is_identity(self):
         m = lh_cpn(3)
-        p = m.element(m.ring.element({(1,): 2}), m.ring.one())
+        p = m.element(m.ring.element({1: 2}), m.ring.one())
         assert lh_multiply(m.one(), p) == p
 
     def test_x0_square_collapses(self):
@@ -172,7 +231,7 @@ class TestLHModule:
     def test_parameters_checked_at_construction(self):
         r = cpn_ring(3)
         with pytest.raises(ValueError, match="degree"):
-            LHModule(r, r.element({(2,): 1}), 2)  # deg e = 4 != deg U
+            LHModule(r, r.element({2: 1}), 2)  # deg e = 4 != deg U
         with pytest.raises(RingMismatchError):
             LHModule(r, cpn_ring(4).generator("x"), 2)
         with pytest.raises(ValueError, match="u_degree"):
@@ -248,47 +307,32 @@ class TestInductionFormula:
 # -- algebraic property suites ---------------------------------------------
 
 
-def _small_ring() -> RingDescriptor:
-    return RingDescriptor((Generator("x", 2, 3), Generator("y", 4, 2)))
+# the rings the package builds: the point's and CP^0 ... CP^6, over Z and Z/2
+RINGS = [RingDescriptor(())] + [cpn_ring(n) for n in range(7)]
+RINGS += [r.mod2_shadow() for r in RINGS]
 
 
 def _elements(ring: RingDescriptor, coeffs=(-2, -1, 0, 1, 2)):
-    exps = [
-        e
-        for e in itertools.product(*(range(g.truncation) for g in ring.generators))
-    ]
-    for c0, c1 in itertools.product(coeffs, repeat=2):
-        yield ring.element({exps[0]: c0, exps[1]: c1})
+    """Every element on 1, x and the top power of x with coefficients from ``coeffs``."""
+    powers = sorted({0, 1, ring.truncation - 1})
+    for cs in itertools.product(coeffs, repeat=len(powers)):
+        yield ring.element(dict(zip(powers, cs)))
 
 
 def test_exhaustive_commutativity_small_ring():
-    ring = _small_ring()
-    els = list(_elements(ring, coeffs=(-1, 0, 2)))
-    for a, b in itertools.product(els, repeat=2):
-        assert cup(a, b) == cup(b, a)
+    for ring in RINGS:
+        els = list(_elements(ring, coeffs=(-1, 0, 2)))
+        for a, b in itertools.product(els, repeat=2):
+            assert cup(a, b) == cup(b, a)
 
 
 @st.composite
 def ring_and_elements(draw, count=3):
-    mod2 = draw(st.booleans())
-    coeffs = Coefficients.MOD2 if mod2 else Coefficients.INTEGER
-    ngens = draw(st.integers(1, 2))
-    gens = []
-    for i in range(ngens):
-        degree = draw(st.sampled_from([1, 2, 3] if mod2 else [2, 4]))
-        truncation = draw(st.integers(1, 4))
-        gens.append(Generator(f"g{i}", degree, truncation))
-    ring = RingDescriptor(tuple(gens), coeffs)
-    ranges = [range(g.truncation) for g in ring.generators]
-    all_exps = list(itertools.product(*ranges))
+    ring = draw(st.sampled_from(RINGS))
     elements = []
     for _ in range(count):
-        nterms = draw(st.integers(0, min(3, len(all_exps))))
-        chosen = draw(
-            st.lists(st.sampled_from(all_exps), min_size=nterms, max_size=nterms, unique=True)
-        )
-        terms = {e: draw(st.integers(-3, 3)) for e in chosen}
-        elements.append(ring.element(terms))
+        powers = draw(st.lists(st.integers(0, ring.truncation), max_size=3, unique=True))
+        elements.append(ring.element({k: draw(st.integers(-3, 3)) for k in powers}))
     return ring, elements
 
 
@@ -313,11 +357,28 @@ def test_mod2_reduction_is_a_homomorphism(data):
     assert mod2_reduce(a + b) == mod2_reduce(a) + mod2_reduce(b)
 
 
+@given(st.integers(1, 8), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cup_and_sum_match_the_dense_reference(t, mod2, point_ring, data):
+    ring = RingDescriptor(()) if t == 1 and point_ring else cpn_ring(t - 1)
+    if mod2:
+        ring = ring.mod2_shadow()
+    coeffs = st.lists(st.integers(-5, 5), min_size=t, max_size=t)
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    left, right = ring.element(dict(enumerate(a))), ring.element(dict(enumerate(b)))
+
+    def dense(e):
+        return [e.terms.get(k, 0) for k in range(t)]
+
+    assert dense(cup(left, right)) == dense_product(a, b, mod2)
+    assert dense(left + right) == dense_sum(a, b, mod2)
+
+
 @given(st.integers(1, 6), st.integers(1, 3), st.integers(-3, 3))
 @settings(max_examples=80, deadline=None)
 def test_height_characterisation(n, exp, coeff):
     ring = cpn_ring(n)
-    a = ring.element({(exp,): coeff})
+    a = ring.element({exp: coeff})
     k = height(a)
     if a.is_zero:
         assert k == 0
@@ -330,16 +391,9 @@ def test_height_characterisation(n, exp, coeff):
 
 @st.composite
 def homogeneous_ring_elements(draw):
-    """A homogeneous class of positive degree, zero included, in a one- or two-generator ring."""
-    mod2 = draw(st.booleans())
-    gens = tuple(
-        Generator(f"g{i}", draw(st.sampled_from([1, 2, 3] if mod2 else [2, 4])), draw(st.integers(1, 4)))
-        for i in range(draw(st.integers(1, 2)))
-    )
-    ring = RingDescriptor(gens, Coefficients.MOD2 if mod2 else Coefficients.INTEGER)
-    degree = draw(st.integers(1, ring.top_degree() + 1))
-    exps = [e for e in itertools.product(*(range(g.truncation) for g in gens)) if ring.term_degree(e) == degree]
-    return ring.element({e: draw(st.integers(-3, 3)) for e in exps})
+    """A homogeneous class c * x^k, k >= 1, zero included (k at the truncation, or c = 0)."""
+    ring = draw(st.sampled_from(RINGS))
+    return ring.element({draw(st.integers(1, ring.truncation)): draw(st.integers(-3, 3))})
 
 
 @st.composite
@@ -349,11 +403,11 @@ def homogeneous_module_elements(draw):
     ring = cpn_ring(n)
     if draw(st.booleans()):
         ring = ring.mod2_shadow()
-    e = ring.element({(j,): 1}) if draw(st.booleans()) else ring.zero()
+    e = ring.element({j: 1}) if draw(st.booleans()) else ring.zero()
     m = LHModule(ring, e, 2 * j)
     half = draw(st.integers(1, n + j + 1))  # total degree 2 * half
-    fiber = ring.element({(half - j,): draw(st.integers(-3, 3))}) if half >= j else ring.zero()
-    return m.element(ring.element({(half,): draw(st.integers(-3, 3))}), fiber)
+    fiber = ring.element({half - j: draw(st.integers(-3, 3))}) if half >= j else ring.zero()
+    return m.element(ring.element({half: draw(st.integers(-3, 3))}), fiber)
 
 
 def _repeated_product_count(a, multiply) -> int:
@@ -392,7 +446,7 @@ class TestHeightAtBitBoundaries:
     def test_ring_powers_of_x(self, n):
         for ring in (cpn_ring(n), cpn_ring(n).mod2_shadow()):
             for k in (1, 2, 3):
-                a = ring.element({(k,): 1})
+                a = ring.element({k: 1})
                 assert height(a) == n // k == _repeated_product_count(a, cup)
 
     @pytest.mark.parametrize("n", BIT_BOUNDARIES)
@@ -408,17 +462,18 @@ class TestHeightAtBitBoundaries:
         assert h == ddot_euler_height(d) == _repeated_product_count(d.euler_ddot, lh_multiply)
 
     def test_nilpotent_at_once(self):
-        two_gens = RingDescriptor((Generator("g0", 2, 2), Generator("g1", 4, 2)))
-        # g0^2 dies below the top degree: the zero check, not the cap, stops the squaring
-        early = RingDescriptor((Generator("g0", 2, 2), Generator("g1", 2, 4)))
+        m = LHModule(cpn_ring(3), cpn_ring(3).zero(), 2)
         cases = [
-            (cpn_ring(1).generator("x"), 1),
-            (cup(two_gens.generator("g0"), two_gens.generator("g1")), 1),
-            (early.generator("g0"), 1),
-            (cpn_ring(3).mod2_shadow().element({(1,): 2}), 0),
+            # x^2 lies above the top degree of CP^1: the cap stops the squaring, no product
+            (cpn_ring(1).generator("x"), 1, height, cup, 2, 0),
+            # with e = 0, U * U = 0 in degree 4 < 8: the zero check stops it after one product
+            (m.u(), 1, lh_height, lh_multiply, 8, 1),
+            (cpn_ring(3).mod2_shadow().element({1: 2}), 0, height, cup, 6, 0),
         ]
-        for a, h in cases:
-            assert height(a) == h == _repeated_product_count(a, cup)
+        for a, h, height_, multiply, top, products in cases:
+            counted, calls = _counting(multiply)
+            assert height_(a) == _height(a, counted, top) == h == _repeated_product_count(a, multiply)
+            assert calls[0] == products
 
 
 def _counting(multiply):
