@@ -18,6 +18,7 @@ the ring's top degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .ring import (
     Coefficients,
@@ -69,7 +70,7 @@ class BaseSpace:
     def dimension(self) -> int:
         return self.ring.top_degree()
 
-    @property
+    @cached_property  # built once per base; fields, equality and hashing do not see it
     def mod2_ring(self) -> RingDescriptor:
         return self.ring.mod2_shadow()
 

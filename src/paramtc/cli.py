@@ -6,7 +6,8 @@ files), ``plan`` (run a planner query on a pair of points), ``verify``
 Output formats: human, json (stable key order) and tsv.  Exit codes: 0 on
 success, 1 on usage errors (and when the reader closes the output pipe
 early), 2 on verification failure.  ``--samples`` is capped at
-``MAX_PLAN_SAMPLES`` for ``plan`` and ``MAX_VERIFY_SAMPLES`` for ``verify``.
+``MAX_PLAN_SAMPLES`` for ``plan`` and ``MAX_VERIFY_SAMPLES`` for ``verify``,
+``verify --n`` at ``MAX_VERIFY_N`` and ``--n-max`` at ``MAX_N_MAX``.
 
 ``bounds`` and ``table`` run on the ring and bound layers alone; only
 ``plan`` and ``verify`` import the planner, the suites and numpy.  The
@@ -54,6 +55,15 @@ __all__ = ["execute", "main", "UsageError"]
 MAX_CONSTRUCTION_DEPTH = 64  # nested construction nodes in a descriptor
 MAX_PLAN_SAMPLES = 10_000  # points on one planned path: about 50 MB peak at the cap
 MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path; chunks hold verify.CHECK_POINTS points
+# verify --n: each path-suite chunk holds CHECK_POINTS // samples paths of n + 1
+# complex coordinates; 600 trials peaked at 41 MB for n = 2 and 106 MB for n = 64.
+# --trials needs no cap: the path and partition suites draw their pairs chunk by
+# chunk (verify --suite all --n 2 peaked at 41.6 MB at 2,000 and 41.7 MB at 200,000).
+MAX_VERIFY_N = 64
+# --n-max of verify and table: table --family k-eta builds about n_max^3 / 2
+# descriptors (1.7 s at 32, 13.8 s at 64) and the oracle suite grows about as
+# n_max^3 (4.4 s at 32).
+MAX_N_MAX = 64
 
 
 class UsageError(ValueError):
@@ -444,10 +454,14 @@ def _cmd_verify(args) -> int:
     _check_samples(args.samples, MAX_VERIFY_SAMPLES)
     if args.n < 0:
         raise UsageError("--n must be non-negative")
+    if args.n > MAX_VERIFY_N:
+        raise UsageError(f"--n must be at most {MAX_VERIFY_N}")
     if args.n < 1 and args.suite in ("all", "partition"):
         raise UsageError("--n must be at least 1 for the partition suite")
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
+    if args.n_max > MAX_N_MAX:
+        raise UsageError(f"--n-max must be at most {MAX_N_MAX}")
     if args.trials < 0:
         raise UsageError("--trials must be non-negative")
     seed = _resolve_seed(args.seed)
@@ -491,6 +505,8 @@ def _table_rows(family: str, n_max: int) -> tuple[list[str], list[list[str]]]:
 def _cmd_table(args) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be positive")
+    if args.n_max > MAX_N_MAX:
+        raise UsageError(f"--n-max must be at most {MAX_N_MAX}")
     header, rows = _table_rows(args.family, args.n_max)
     if args.format == "json":
         print(_json_dumps([dict(zip(header, row)) for row in rows]))

@@ -34,6 +34,9 @@ from .planner import (
     ProjectiveRep,
     _ArcStack,
     _norms,
+    _plan_stack,
+    _valid_points,
+    _valid_reps,
     classify_pair,
     plan,
 )
@@ -60,6 +63,7 @@ NORM_DRIFT_TOL = 1e-9
 LIPSCHITZ_BOUND = 2 * math.pi + 2
 LIPSCHITZ_STEP = 1e-4
 CHECK_POINTS = 512 * 21  # path samples stacked at once, bounding memory
+PAIR_CHUNK = 512  # random pairs the partition suite draws and builds as points at once
 
 
 @dataclass
@@ -67,13 +71,16 @@ class VerificationOutcome:
     """Result of one suite: case count, the list of violations, worst margins.
 
     ``worst`` maps an invariant name to the largest value measured for it,
-    failing or not, for the suites that measure one.
+    failing or not, for the suites that measure one.  ``pieces`` maps each
+    partition piece to the number of pairs the path suite planned on it,
+    and is empty for the other suites.
     """
 
     suite: str
     cases: int = 0
     failures: list[tuple[str, str, float | str]] = field(default_factory=list)
     worst: dict[str, float] = field(default_factory=dict)
+    pieces: dict[int, int] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -219,25 +226,38 @@ def _fiber_gap(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 def check_path(path: PlannedPath, samples: int = 50) -> VerificationOutcome:
     """Check the planned-path invariants on a uniform grid.
 
-    Endpoint exactness, norm preservation, base-line constancy, and sampled
-    continuity: within each segment the difference quotient between
-    consecutive grid points, and at step 1e-4 of the segment's unit-time
-    parametrization, must stay below 2*pi + 2 (each segment is a
-    great-circle arc with angular speed at most pi, plus conditioning slack).
-    The path and its segments are evaluated on the whole grid at once, as
-    arrays.  A violation is recorded, never raised, even where the path
-    leaves the sphere or the line; ``worst`` holds the largest measured
-    value of each invariant.
+    Endpoint exactness, norm preservation, base-line constancy, sampled
+    continuity and continuity across segment junctions.  Within each segment
+    the difference quotient between consecutive grid points, and at step
+    1e-4 of the segment's unit-time parametrization, must stay below
+    2*pi + 2 (each segment is a great-circle arc with angular speed at most
+    pi, plus conditioning slack); each segment must start within
+    ``ENDPOINT_TOL`` of where the one before it ends.  The path and its
+    segments are evaluated on the whole grid at once, as arrays.  A
+    violation is recorded, never raised, even where the path leaves the
+    sphere or the line, and a NaN value is a violation; ``worst`` holds the
+    largest measured value of each invariant, NaN if any was.
     """
-    return _check_paths([path], samples)[0]
+    out = VerificationOutcome("path")
+    ends = [(point.w[np.newaxis], np.array([point.s])) for point in (path.start, path.end)]
+    stack = _ArcStack.from_paths([path])
+    out.cases = _check_paths(out, stack, path.z.z[np.newaxis], *ends, samples, lambda p: "")
+    return out
 
 
-def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[VerificationOutcome]:
-    """:func:`check_path` for paths over one CP^n, their samples stacked into arrays.
+def _check_paths(out: VerificationOutcome, stack: _ArcStack, z, start, end, samples: int, label) -> int:
+    """:func:`check_path` for the paths of ``stack`` over one CP^n, recorded into ``out``.
 
-    Failures are recorded in the order of the per-point checks: the two
-    endpoints, then per sample normalization and drift, then per segment and
-    grid point the coarse and the fine rate.
+    Path p runs over the line of ``z[p]`` and must go from the point
+    ``(start[0][p], start[1][p])`` to ``(end[0][p], end[1][p])``.  Its
+    samples are stacked into arrays with every other path's; ``worst`` takes
+    the maximum over all of them, and failure records are built only for
+    failing paths, their digests prefixed by ``label(p)``.  A path's failures
+    are recorded in the order of the per-point checks: the two endpoints,
+    then per sample normalization and drift, then per segment and grid
+    point the coarse and the fine rate, then the junctions.  The junction
+    ``segment=k`` is the gap between the end of segment k - 1 and the start
+    of segment k.  Returns the number of checks made.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -247,115 +267,132 @@ def _check_paths(paths: Sequence[PlannedPath], samples: int) -> list[Verificatio
     fine = np.flatnonzero(u + LIPSCHITZ_STEP <= 1.0)
 
     # path samples [path, t]: endpoints, normalization, base line
-    stack = _ArcStack(paths)
     w, s = stack.paths_at(t)
-    endpoint = np.empty((len(paths), 2))
-    ends = ([path.start for path in paths], [path.end for path in paths])
-    for j, (index, points) in enumerate(zip((0, -1), ends)):
-        gap_w, gap_s = w[:, index] - np.stack([p.w for p in points]), s[:, index] - [p.s for p in points]
-        endpoint[:, j] = _fiber_gap(gap_w, gap_s)
+    endpoint = np.stack(
+        [_fiber_gap(w[:, i] - point_w, s[:, i] - point_s) for i, (point_w, point_s) in ((0, start), (-1, end))],
+        axis=1,
+    )
     wn = np.linalg.norm(w, axis=-1)
     normalization = np.abs(np.hypot(wn, s) - 1.0)
-    z0 = np.stack([path.z.z for path in paths])
     align = np.ones_like(wn)  # on the poles the stored representative carries the line
-    np.divide(np.abs((z0.conj()[:, np.newaxis] * w).sum(axis=-1)), wn, out=align, where=wn > 1e-6)
+    np.divide(np.abs((z.conj()[:, np.newaxis] * w).sum(axis=-1)), wn, out=align, where=wn > 1e-6)
     drift = 1.0 - align
 
-    # segment grids [segment, u], then the fine points: coarse rates to the next
-    # grid point, fine rates at the declared step
+    # segment grids [segment, u], then the fine points, then u = 1: coarse rates
+    # to the next grid point, fine rates at the declared step
     first, counts = stack.first, stack.count
-    grid = np.concatenate([u, u[fine] + LIPSCHITZ_STEP])
-    gw, gs = stack.at(np.arange(len(stack.segments))[:, np.newaxis], grid)
-    rate = np.full((len(stack.segments), samples, 2), -np.inf)  # [segment, grid point, coarse | fine]
+    rows = len(stack.angle)
+    grid = np.concatenate([u, u[fine] + LIPSCHITZ_STEP, [1.0]])
+    gw, gs = stack.at(np.arange(rows)[:, np.newaxis], grid)
+    rate = np.full((rows, samples, 2), -np.inf)  # [segment, grid point, coarse | fine]
     rate[:, :-1, 0] = _fiber_gap(np.diff(gw[:, :samples], axis=1), np.diff(gs[:, :samples], axis=1)) / spacing
-    fine_w, fine_s = gw[:, samples:] - gw[:, fine], gs[:, samples:] - gs[:, fine]
+    fine_w, fine_s = gw[:, samples:-1] - gw[:, fine], gs[:, samples:-1] - gs[:, fine]
     rate[:, fine, 1] = _fiber_gap(fine_w, fine_s) / LIPSCHITZ_STEP
 
-    endpoint_fails = endpoint > ENDPOINT_TOL
-    sample_fails = np.stack([normalization > NORM_DRIFT_TOL, align < 1.0 - BASE_DRIFT_TOL], axis=-1)
-    rate_fails = rate > LIPSCHITZ_BOUND
-    worst = {
-        "endpoint": endpoint.max(axis=1),
-        "normalization": normalization.max(axis=1),
-        "base-line drift": drift.max(axis=1),
-        "continuity": np.maximum.reduceat(rate.max(axis=(1, 2)), first),
-    }
-    cases = 2 + samples + counts * (samples - 1 + fine.size)
-    outcomes = [
-        VerificationOutcome("path", count, worst=dict(zip(worst, row)))
-        for count, row in zip(cases.tolist(), zip(*(values.tolist() for values in worst.values())))
-    ]
+    # junctions: every segment but a path's first at u = 0 (grid point 0), from
+    # the one before at u = 1 (the last grid column)
+    joint = np.ones(rows, dtype=bool)
+    joint[first] = False
+    joints = np.flatnonzero(joint)
+    junction = _fiber_gap(gw[joints - 1, -1] - gw[joints, 0], gs[joints - 1, -1] - gs[joints, 0])
 
-    failing = (
-        endpoint_fails.any(axis=1)
-        | sample_fails.any(axis=(1, 2))
-        | np.logical_or.reduceat(rate_fails.any(axis=(1, 2)), first)
-    )
-    for p in np.flatnonzero(failing):
-        out = outcomes[p]
+    # a value fails unless it is within its bound, so NaN fails too
+    endpoint_fails = ~(endpoint <= ENDPOINT_TOL)
+    sample_fails = np.stack([~(normalization <= NORM_DRIFT_TOL), ~(align >= 1.0 - BASE_DRIFT_TOL)], axis=-1)
+    rate_fails = ~(rate <= LIPSCHITZ_BOUND)
+    junction_fails = ~(junction <= ENDPOINT_TOL)
+    worst = {
+        "endpoint": endpoint.max(),
+        "normalization": normalization.max(),
+        "base-line drift": drift.max(),
+        "continuity": rate.max(),
+        "junction": junction.max(initial=0.0),
+    }
+    for invariant, value in worst.items():
+        value, old = float(value), out.worst.get(invariant, -math.inf)
+        out.worst[invariant] = old if math.isnan(old) or old >= value else value  # the max, NaN kept
+
+    segment_fails = rate_fails.any(axis=(1, 2))
+    segment_fails[joints] |= junction_fails  # a junction belongs to the path of its later segment
+    failing = endpoint_fails.any(axis=1) | sample_fails.any(axis=(1, 2)) | np.logical_or.reduceat(segment_fails, first)
+    for p in np.flatnonzero(failing).tolist():
+        prefix, lo, hi = label(p), first[p], first[p] + counts[p]
         for j in np.flatnonzero(endpoint_fails[p]):
-            out.record(("t=0", "t=1")[j], "endpoint", float(endpoint[p, j]))
+            out.record(f"{prefix}{('t=0', 't=1')[j]}", "endpoint", float(endpoint[p, j]))
         for i, j in np.argwhere(sample_fails[p]):
             invariant, value = (("normalization", normalization), ("base-line drift", drift))[j]
-            out.record(f"t={t[i]:.6f}", invariant, float(value[p, i]))
-        for k, i, j in np.argwhere(rate_fails[first[p] : first[p] + counts[p]]):
-            out.record(f"segment={k} u={u[i]:.6f}", "continuity", float(rate[first[p] + k, i, j]))
-    return outcomes
+            out.record(f"{prefix}t={t[i]:.6f}", invariant, float(value[p, i]))
+        for k, i, j in np.argwhere(rate_fails[lo:hi]):
+            out.record(f"{prefix}segment={k} u={u[i]:.6f}", "continuity", float(rate[lo + k, i, j]))
+        for k in np.flatnonzero(junction_fails[lo - p : hi - p - 1]):  # path p's joints follow p earlier firsts
+            out.record(f"{prefix}segment={k + 1} junction", "junction", float(junction[lo - p + k]))
+    return int(counts.size * (2 + samples) + rows * (samples - 1 + fine.size) + joints.size)
 
 
 # -- pair generation ------------------------------------------------------------
 
 
-def _random_pairs(rng: np.random.Generator, n: int, count: int) -> list[tuple[BundlePoint, BundlePoint]]:
-    """``count`` random same-fiber pairs over CP^n, drawn as one block of normals.
+def _random_pairs(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, ...]:
+    """``count`` random same-fiber pairs over CP^n as arrays ``(z, xw, xs, yw, ys)``.
 
-    Row i of the block holds pair i's draws in the order of drawing it alone:
-    the real and then the imaginary parts of the representative, then x and
-    y as vectors of C + R = R^3.  Each is normalised, and the points are
-    checked once per array.
+    They are drawn as one block of normals.  Row i of the block holds pair
+    i's draws in the order of drawing it alone: the real and then the
+    imaginary parts of the representative, then x and y as vectors of
+    C + R = R^3.  Each is normalised.  Consecutive blocks continue one
+    stream, so drawing in chunks gives the pairs of drawing them at once.
     """
     block = rng.standard_normal((count, 2 * n + 8))
     v = block[:, : n + 1] + 1j * block[:, n + 1 : 2 * n + 2]
     z = v / _norms(v)[:, np.newaxis]
-    reps = ProjectiveRep._from_rows(z)
     fiber = block[:, 2 * n + 2 :].reshape(count, 2, 3)
     fiber = fiber / _norms(fiber)[..., np.newaxis]
-    x, y = (
-        BundlePoint._from_rows(reps, (f[:, 0] + 1j * f[:, 1])[:, np.newaxis] * z, f[:, 2])
-        for f in (fiber[:, 0], fiber[:, 1])
+    x, y = ((f[:, 0] + 1j * f[:, 1])[:, np.newaxis] * z for f in (fiber[:, 0], fiber[:, 1]))
+    return z, x, fiber[:, 0, 2], y, fiber[:, 1, 2]
+
+
+def _boundary_arrays(n: int) -> tuple[np.ndarray, ...]:
+    """The hand-built pairs hitting every partition piece, as arrays ``(z, xw, xs, yw, ys, piece)``.
+
+    Over a representative inside each 2j-cell, with spread-out magnitudes:
+    both pole antipodes (piece 2 + j).  Over the one inside the top cell:
+    three off-pole antipodes (piece 1), then a point with itself, with the
+    north pole and with a point 1e-3 from its antipode (piece 0).
+    """
+    head = [complex(math.cos(0.7 * (i + 1)), math.sin(0.7 * (i + 1))) for i in range(n + 1)]
+    v = np.tril(np.array([head] * (n + 1)))  # row j: the first j + 1 coordinates
+    cells = v / _norms(v)[:, np.newaxis]
+    top = cells[n]
+    skew = 0.6 * complex(math.cos(1.0), math.sin(1.0))
+    near = -0.6 * complex(math.cos(1e-3), math.sin(1e-3))
+    # over the top cell: equator, tilted and skew points to their antipodes, then
+    # the tilted point to itself, to the north pole and to near
+    tail_x = np.array([1.0, 0.6, skew, 0.6, 0.6, 0.6], dtype=complex)[:, np.newaxis] * top
+    tail_y = np.concatenate([-tail_x[:3], tail_x[3:4], np.zeros((1, n + 1), complex), near * top[np.newaxis]])
+    poles = np.zeros((2 * n + 2, n + 1), dtype=complex)
+    pole_s = np.tile([1.0, -1.0], n + 1)
+    return (
+        np.concatenate([np.repeat(cells, 2, axis=0), np.broadcast_to(top, (6, n + 1))]),
+        np.concatenate([poles, tail_x]),
+        np.concatenate([pole_s, [0.0, 0.8, -0.8, 0.8, 0.8, 0.8]]),
+        np.concatenate([-poles, tail_y]),
+        np.concatenate([-pole_s, [-0.0, -0.8, 0.8, 0.8, 1.0, -0.8]]),
+        np.concatenate([np.repeat(np.arange(2, n + 3), 2), [1, 1, 1, 0, 0, 0]]),
     )
-    return list(zip(x, y))
 
 
-def _cell_rep(n: int, j: int) -> ProjectiveRep:
-    """A representative inside the 2j-cell with spread-out magnitudes."""
-    v = np.zeros(n + 1, dtype=complex)
-    for i in range(j + 1):
-        v[i] = complex(math.cos(0.7 * (i + 1)), math.sin(0.7 * (i + 1)))
-    return ProjectiveRep.normalized(v)
+def _pair_points(z, xw, xs, yw, ys) -> list[tuple[BundlePoint, BundlePoint]]:
+    """The pairs ``((z[i], xw[i], xs[i]), (z[i], yw[i], ys[i]))`` as points, checked once per array.
+
+    A bad row raises as the constructors do, naming it.
+    """
+    reps = ProjectiveRep._from_rows(z)
+    return list(zip(BundlePoint._from_rows(reps, xw, xs), BundlePoint._from_rows(reps, yw, ys)))
 
 
 def boundary_pairs(n: int) -> list[tuple[BundlePoint, BundlePoint, int]]:
     """Hand-built pairs hitting every partition piece, with expected indices."""
-    pairs: list[tuple[BundlePoint, BundlePoint, int]] = []
-    for j in range(n + 1):
-        z = _cell_rep(n, j)
-        up = BundlePoint.section_point(z, +1)
-        down = BundlePoint.section_point(z, -1)
-        pairs.append((up, up.antipode(), 2 + j))
-        pairs.append((down, down.antipode(), 2 + j))
-    z = _cell_rep(n, n)
-    equator = BundlePoint.from_fiber(z, 1.0, 0.0)
-    pairs.append((equator, equator.antipode(), 1))
-    tilted = BundlePoint.from_fiber(z, 0.6, 0.8)
-    pairs.append((tilted, tilted.antipode(), 1))
-    skew = BundlePoint.from_fiber(z, 0.6 * complex(math.cos(1.0), math.sin(1.0)), -0.8)
-    pairs.append((skew, skew.antipode(), 1))
-    pairs.append((tilted, tilted, 0))
-    pairs.append((tilted, BundlePoint.section_point(z), 0))
-    near = BundlePoint.from_fiber(z, -0.6 * complex(math.cos(1e-3), math.sin(1e-3)), -0.8)
-    pairs.append((tilted, near, 0))  # nearly antipodal but still piece 0
-    return pairs
+    *rows, piece = _boundary_arrays(n)
+    return [(x, y, k) for (x, y), k in zip(_pair_points(*rows), piece.tolist())]
 
 
 def check_partition(n: int, trials: int = 1000, seed: int = DEFAULT_SEED) -> VerificationOutcome:
@@ -396,8 +433,9 @@ def check_partition(n: int, trials: int = 1000, seed: int = DEFAULT_SEED) -> Ver
         if path.piece != piece:
             out.record(digest, "path piece mismatch", path.piece)
 
-    for i, (x, y) in enumerate(_random_pairs(rng, n, trials)):
-        run_case(x, y, f"random#{i}", None)
+    for lo in range(0, trials, PAIR_CHUNK):  # drawn chunk by chunk, one stream, so memory stays flat
+        for i, (x, y) in enumerate(_pair_points(*_random_pairs(rng, n, min(PAIR_CHUNK, trials - lo))), lo):
+            run_case(x, y, f"random#{i}", None)
     for i, (x, y, expected) in enumerate(boundary_pairs(n)):
         run_case(x, y, f"boundary#{i}", expected)
 
@@ -408,7 +446,7 @@ def check_partition(n: int, trials: int = 1000, seed: int = DEFAULT_SEED) -> Ver
         out.record("coverage", "pieces witnessed", f"missing={sorted(missing)} extra={sorted(extra)}")
 
     out.cases += 1
-    (xa, _), (xb, _) = _random_pairs(rng, n, 2)
+    (xa, _), (xb, _) = _pair_points(*_random_pairs(rng, n, 2))
     if abs(complex(np.vdot(xa.z.z, xb.z.z))) < 0.999:
         try:
             classify_pair(xa, xb)
@@ -426,29 +464,45 @@ def check_paths_random(
 ) -> VerificationOutcome:
     """Full path-invariant sweep over random and boundary pairs.
 
-    One case per pair, each path checked as by :func:`check_path`, planned
-    and checked in chunks of ``CHECK_POINTS // samples`` pairs (at least
-    one); ``worst`` holds the largest value of each invariant over all paths.
-    The random pairs are drawn as one block, exactly the stream of drawing
-    them one by one.
+    One case per pair, each path checked as by :func:`check_path`; ``worst``
+    holds the largest value of each invariant over all paths and ``pieces``
+    the number of pairs on each piece.  The pairs go in chunks of
+    ``CHECK_POINTS // samples`` (at least one), as arrays from draw to
+    check: each chunk's random pairs are drawn then, continuing one stream,
+    its points are checked once, and the batched planner plans them all.
+    So memory does not grow with ``trials``.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     out = VerificationOutcome(f"paths(n={n})")
     rng = np.random.default_rng(seed)
-    cases = [(f"random#{i}", x, y) for i, (x, y) in enumerate(_random_pairs(rng, n, trials))]
-    cases += [(f"boundary#{i}", x, y) for i, (x, y, _) in enumerate(boundary_pairs(n))]
-    step = max(1, CHECK_POINTS // max(samples, 1))  # _check_paths refuses samples < 2
-    for lo in range(0, len(cases), step):
-        chunk = cases[lo : lo + step]
-        for (digest, _, _), sub in zip(chunk, _check_paths([plan(x, y) for _, x, y in chunk], samples)):
-            out.cases += 1
-            for d, invariant, value in sub.failures:
-                out.record(f"{digest} {d}", invariant, value)
-            for invariant, value in sub.worst.items():
-                out.worst[invariant] = max(out.worst.get(invariant, value), value)
+    *boundary, _ = _boundary_arrays(n)
+    total = trials + len(boundary[0])
+    pieces = np.zeros(n + 3, dtype=int)
+
+    def label(lo: int):
+        return lambda p: f"random#{lo + p} " if lo + p < trials else f"boundary#{lo + p - trials} "
+
+    step = max(1, CHECK_POINTS // samples)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        rows = _random_pairs(rng, n, max(0, min(hi, trials) - lo))
+        if hi > trials:
+            tail = slice(max(lo, trials) - trials, hi - trials)
+            rows = tuple(np.concatenate([drawn, built[tail]]) for drawn, built in zip(rows, boundary))
+        z, xw, xs, yw, ys = rows
+        points = (np.concatenate([z, z]), np.concatenate([xw, yw]), np.concatenate([xs, ys]))
+        if not (_valid_reps(z).all() and _valid_points(*points).all()):
+            _pair_points(*rows)  # raises as the constructors do, naming the first bad row
+        piece, stack = _plan_stack(*rows)
+        pieces += np.bincount(piece, minlength=n + 3)
+        _check_paths(out, stack, z, (xw, xs), (yw, ys), samples, label(lo))
+        out.cases += len(z)
+    out.pieces = dict(enumerate(pieces.tolist()))
     return out
 
 

@@ -7,6 +7,8 @@ agreement with the engine is independent evidence.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from paramtc.bundle import DdotDescriptor
@@ -61,6 +63,42 @@ def random_pair(rng: np.random.Generator, n: int) -> tuple[BundlePoint, BundlePo
         return BundlePoint.from_fiber(z, complex(v[0], v[1]), float(v[2]))
 
     return fiber_point(), fiber_point()
+
+
+def _cell_rep(n: int, j: int) -> ProjectiveRep:
+    """A representative inside the 2j-cell with spread-out magnitudes."""
+    v = np.zeros(n + 1, dtype=complex)
+    for i in range(j + 1):
+        v[i] = complex(math.cos(0.7 * (i + 1)), math.sin(0.7 * (i + 1)))
+    return ProjectiveRep.normalized(v)
+
+
+def boundary_pairs(n: int) -> list[tuple[BundlePoint, BundlePoint, int]]:
+    """The suites' hand-built pairs, point by point through the public constructors.
+
+    Both pole antipodes over each cell; over the top cell three off-pole
+    antipodes, then a point with itself, with the north pole and with a
+    point 1e-3 from its antipode.  Each with its expected piece.
+    """
+    pairs: list[tuple[BundlePoint, BundlePoint, int]] = []
+    for j in range(n + 1):
+        z = _cell_rep(n, j)
+        up = BundlePoint.section_point(z, +1)
+        down = BundlePoint.section_point(z, -1)
+        pairs.append((up, up.antipode(), 2 + j))
+        pairs.append((down, down.antipode(), 2 + j))
+    z = _cell_rep(n, n)
+    equator = BundlePoint.from_fiber(z, 1.0, 0.0)
+    pairs.append((equator, equator.antipode(), 1))
+    tilted = BundlePoint.from_fiber(z, 0.6, 0.8)
+    pairs.append((tilted, tilted.antipode(), 1))
+    skew = BundlePoint.from_fiber(z, 0.6 * complex(math.cos(1.0), math.sin(1.0)), -0.8)
+    pairs.append((skew, skew.antipode(), 1))
+    pairs.append((tilted, tilted, 0))
+    pairs.append((tilted, BundlePoint.section_point(z), 0))
+    near = BundlePoint.from_fiber(z, -0.6 * complex(math.cos(1e-3), math.sin(1e-3)), -0.8)
+    pairs.append((tilted, near, 0))  # nearly antipodal but still piece 0
+    return pairs
 
 
 def masked_fiber_at(path: PlannedPath, t):

@@ -50,6 +50,14 @@ class TestBaseSpace:
         with pytest.raises(ValueError, match="integer coefficients"):
             BaseSpace("CPn", cpn(3).mod2_ring)
 
+    def test_mod2_ring_is_built_once(self):
+        for base in (cpn(0), cpn(4), point()):
+            assert base.mod2_ring is base.mod2_ring
+            assert base.mod2_ring == base.ring.mod2_shadow()
+        a, b = cpn(3), cpn(3)
+        a.mod2_ring  # cached on a, not yet on b
+        assert a == b and hash(a) == hash(b)
+
 
 class TestWhitneySum:
     def test_two_canonical_lines(self):

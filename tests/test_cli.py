@@ -427,8 +427,16 @@ class TestVerifyCommand:
         outcomes = {o["suite"]: o for o in json.loads(out)["outcomes"]}
         assert outcomes["partition(n=1)"]["worst"] == {}
         worst = outcomes["paths(n=1)"]["worst"]
-        assert sorted(worst) == ["base-line drift", "continuity", "endpoint", "normalization"]
+        assert sorted(worst) == ["base-line drift", "continuity", "endpoint", "junction", "normalization"]
         assert 0.0 < worst["continuity"] < 2 * math.pi + 2
+        assert 0.0 <= worst["junction"] <= 1e-9
+
+    def test_json_reports_pieces_of_the_path_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "1", "--trials", "0", "--format", "json")
+        assert code == 0
+        outcomes = {o["suite"]: o for o in json.loads(out)["outcomes"]}
+        assert outcomes["paths(n=1)"]["pieces"] == {"0": 3, "1": 3, "2": 2, "3": 2}
+        assert all(o["pieces"] == {} for name, o in outcomes.items() if name != "paths(n=1)")
 
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PARAMTC_SEED", "911")
@@ -639,6 +647,42 @@ def test_samples_cap_is_accepted_and_named(capsys, argv, cap):
     assert code == 0
     code, out, err = run(capsys, *argv, "--samples", str(cap + 1))
     assert (code, out, err) == (1, "", f"error: --samples must be at most {cap}\n")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Replace every suite and the table builder by stubs; returns the list of their calls."""
+    calls = []
+
+    def stub(name):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return [] if name == "family_table" else paramtc.verify.VerificationOutcome(name)
+
+        return run
+
+    for name in ("check_lh_oracle", "check_bounds_tables", "check_partition", "check_paths_random"):
+        monkeypatch.setattr(paramtc.verify, name, stub(name))
+    monkeypatch.setattr(cli_mod, "family_table", stub("family_table"))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap",
+    [
+        (["verify", "--suite", "all", "--n"], "--n", cli_mod.MAX_VERIFY_N),
+        (["verify", "--suite", "all", "--n-max"], "--n-max", cli_mod.MAX_N_MAX),
+        (["table", "--family", "k-eta", "--format", "tsv", "--n-max"], "--n-max", cli_mod.MAX_N_MAX),
+    ],
+    ids=["verify-n", "verify-n-max", "table-n-max"],
+)
+def test_work_caps_are_accepted_and_named(capsys, no_work, argv, flag, cap):
+    code, _, _ = run(capsys, *argv, str(cap))
+    assert code == 0 and no_work
+    no_work.clear()
+    code, out, err = run(capsys, *argv, str(cap + 1))
+    assert (code, out, err) == (1, "", f"error: {flag} must be at most {cap}\n")
+    assert no_work == []  # refused before any work started
 
 
 def test_verify_paths_accepts_n_zero(capsys):

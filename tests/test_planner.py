@@ -22,6 +22,7 @@ from paramtc.planner import (
     PlannedPath,
     ProjectiveRep,
     _ArcStack,
+    _plan_stack,
     cell_index,
     cell_section,
     classify_pair,
@@ -447,7 +448,7 @@ class TestPlannedPath:
         assert {len(path.segments) for path in paths} == {1, 2, 3, 4}
         breaks = [0.25, 0.5, 0.75, 1 / 3, 2 / 3]
         t = np.concatenate([np.linspace(0.0, 1.0, 41), rng.uniform(0.0, 1.0, 40), breaks])
-        stacked_w, stacked_s = _ArcStack(paths).paths_at(t)
+        stacked_w, stacked_s = _ArcStack.from_paths(paths).paths_at(t)
         for k, path in enumerate(paths):
             w, s = masked_fiber_at(path, t)
             # bit for bit, signed zeros included
@@ -495,6 +496,70 @@ class TestPlannedPath:
         assert len(path.sample(7)) == 7
         with pytest.raises(ValueError):
             path.sample(1)
+
+
+def _rows(pairs):
+    """The pairs as the batched planner's arrays ``(z, xw, xs, yw, ys)``."""
+    return (
+        np.stack([x.z.z for x, _ in pairs]),
+        np.stack([x.w for x, _ in pairs]),
+        np.array([x.s for x, _ in pairs]),
+        np.stack([y.w for _, y in pairs]),
+        np.array([y.s for _, y in pairs]),
+    )
+
+
+def _off_antipodes(n):
+    """Pairs with y at 0, 1e-13, 2e-12 and 1e-9 from -x, either side of the snap threshold."""
+    pairs = []
+    for _ in range(6):
+        z = random_rep(n)
+        p = RNG.standard_normal(3)
+        p /= np.linalg.norm(p)
+        v = RNG.standard_normal(3)
+        v -= (v @ p) * p
+        v /= np.linalg.norm(v)
+        x = BundlePoint.from_fiber(z, complex(p[0], p[1]), p[2])
+        pairs.append((x, x.antipode()))
+        for gap in (1e-13, 2e-12, 1e-9):
+            q = -math.cos(gap) * p + math.sin(gap) * v
+            pairs.append((x, BundlePoint.from_fiber(z, complex(q[0], q[1]), q[2])))
+    return pairs
+
+
+class TestPlanStack:
+    """The batched planner against the scalar reference ``plan``."""
+
+    @staticmethod
+    def _assert_plans_match(pairs):
+        piece, stack = _plan_stack(*_rows(pairs))
+        paths = [plan(x, y) for x, y in pairs]
+        assert piece.tolist() == [path.piece for path in paths]
+        assert stack.count.tolist() == [len(path.segments) for path in paths]
+        t = np.concatenate([np.linspace(0.0, 1.0, 41), [0.25, 0.5, 0.75, 1 / 3, 2 / 3]])
+        got_w, got_s = stack.paths_at(t)
+        expected_w, expected_s = _ArcStack.from_paths(paths).paths_at(t)
+        assert np.abs(got_w - expected_w).max() <= 1e-12 and np.abs(got_s - expected_s).max() <= 1e-12
+        return piece, stack
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_random_and_boundary_pairs(self, n):
+        rng = np.random.default_rng(100 + n)
+        pairs = [random_pair(rng, n) for _ in range(200)]
+        pairs += [(x, y) for x, y, _ in boundary_pairs(n)]
+        piece, _ = self._assert_plans_match(pairs)
+        assert set(piece.tolist()) == set(range(n + 3))
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_near_the_thresholds(self, n):
+        pairs = _off_antipodes(n) + TestPlannedPath._near_threshold_pairs(n)
+        _, stack = self._assert_plans_match(pairs)
+        assert set(stack.count.tolist()) == {1, 2, 3, 4}  # with and without the snap
+
+    def test_empty_batch(self):
+        z = np.zeros((0, 3), dtype=complex)
+        piece, stack = _plan_stack(z, z, np.zeros(0), z, np.zeros(0))
+        assert piece.size == 0 and stack.count.size == 0 and stack.angle.size == 0
 
 
 def test_planner_demo_script_runs_clean():

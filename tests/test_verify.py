@@ -35,7 +35,7 @@ from paramtc.verify import (
     _check_paths,
     _cpn_module,
 )
-from references import random_pair
+from references import boundary_pairs as reference_boundary_pairs, random_pair
 
 
 def _expand_words(expression, n):
@@ -164,18 +164,19 @@ def _scalar_check_path(path, samples):
 
     Endpoints are measured on the fiber coordinates of the t = 0 and t = 1
     samples, so a path that leaves the sphere or the line is recorded, not raised.
+    Junction k compares segment k - 1 at u = 1 with segment k at u = 0.
     """
     out = VerificationOutcome("path")
 
     def measure(invariant, value):
-        out.worst[invariant] = max(out.worst.get(invariant, value), value)
+        out.worst[invariant] = float(np.maximum(out.worst.get(invariant, value), value))  # NaN stays
         return value
 
     out.cases += 2
     for t, point, digest in ((0.0, path.start, "t=0"), (1.0, path.end, "t=1")):
         w, s = path.fiber_at(t)
         d = measure("endpoint", math.hypot(float(np.linalg.norm(w - point.w)), s - point.s))
-        if d > ENDPOINT_TOL:
+        if not d <= ENDPOINT_TOL:
             out.record(digest, "endpoint", d)
 
     z0 = path.z.z
@@ -185,16 +186,16 @@ def _scalar_check_path(path, samples):
         out.cases += 1
         wn = float(np.linalg.norm(w))
         norm = math.hypot(wn, s)
-        if measure("normalization", abs(norm - 1.0)) > NORM_DRIFT_TOL:
+        if not measure("normalization", abs(norm - 1.0)) <= NORM_DRIFT_TOL:
             out.record(f"t={t:.6f}", "normalization", abs(norm - 1.0))
         align = abs(complex(np.vdot(z0, w))) / wn if wn > 1e-6 else 1.0
         measure("base-line drift", 1.0 - align)
-        if align < 1.0 - BASE_DRIFT_TOL:
+        if not align >= 1.0 - BASE_DRIFT_TOL:
             out.record(f"t={t:.6f}", "base-line drift", 1.0 - align)
 
     spacing = 1.0 / (samples - 1)
-    for k, segment in enumerate(path.segments):
-        alone = PlannedPath(path.piece, [segment], path.start, path.end)  # its global time is u
+    alones = [PlannedPath(path.piece, [segment], path.start, path.end) for segment in path.segments]
+    for k, alone in enumerate(alones):  # a segment alone: its global time is u
         grid = [alone.fiber_at(i * spacing) for i in range(samples)]
         for i in range(samples):
             u = i * spacing
@@ -205,8 +206,16 @@ def _scalar_check_path(path, samples):
                 rates.append(_rate(grid[i], alone.fiber_at(u + LIPSCHITZ_STEP), LIPSCHITZ_STEP))
             for rate in rates:
                 out.cases += 1
-                if measure("continuity", rate) > LIPSCHITZ_BOUND:
+                if not measure("continuity", rate) <= LIPSCHITZ_BOUND:
                     out.record(f"segment={k} u={u:.6f}", "continuity", rate)
+
+    measure("junction", 0.0)
+    for k in range(1, len(alones)):
+        out.cases += 1
+        (w0, s0), (w1, s1) = alones[k - 1].fiber_at(1.0), alones[k].fiber_at(0.0)
+        gap = math.hypot(float(np.linalg.norm(w1 - w0)), s1 - s0)
+        if not measure("junction", gap) <= ENDPOINT_TOL:
+            out.record(f"segment={k} junction", "junction", gap)
     return out
 
 
@@ -219,32 +228,44 @@ def _assert_same_outcome(got, expected):
     """
     assert got.cases == expected.cases
     assert [f[:2] for f in got.failures] == [f[:2] for f in expected.failures]
-    close = lambda value: pytest.approx(value, rel=1e-12, abs=1e-15)  # noqa: E731
+    close = lambda value: pytest.approx(value, rel=1e-12, abs=1e-15, nan_ok=True)  # noqa: E731
     assert [f[2] for f in got.failures] == [close(f[2]) for f in expected.failures]
     assert got.worst == {k: close(v) for k, v in expected.worst.items()}
 
 
-def _corrupted(path, corrupt):
-    """``path`` with every segment's evaluations passed through ``corrupt(u, w, s)``.
+def _corrupted(path, corrupt, only=None):
+    """``path`` with each segment's evaluations passed through ``corrupt(u, w, s)``.
 
-    The segments only carry the corruption: the ``corruptible`` fixture
-    applies it inside the one arc evaluator, so the array checker and the
-    per-point reference both see the same corrupted path.
+    Every segment, or only segment ``only``.  The segments only carry the
+    corruption: the ``corruptible`` fixture applies it inside the one arc
+    evaluator, so the array checker and the per-point reference both see the
+    same corrupted path.
     """
     segments = [copy.copy(segment) for segment in path.segments]
-    for segment in segments:
-        segment.corrupt = corrupt
+    for k, segment in enumerate(segments):
+        if only in (None, k):
+            segment.corrupt = corrupt
     return PlannedPath(path.piece, segments, path.start, path.end)
 
 
 @pytest.fixture
 def corruptible(monkeypatch):
-    """Pass every arc evaluation of a segment through the corruption it carries, if any."""
+    """Pass every arc evaluation of a segment through the corruption it carries, if any.
+
+    A stack built from paths is tagged with its segments' corruptions; the
+    batched planner's stacks carry none.
+    """
     real = planner_mod._ArcStack.at
+    real_from_paths = planner_mod._ArcStack.from_paths.__func__
+
+    def from_paths(cls, paths):
+        stack = real_from_paths(cls, paths)
+        stack.tags = [getattr(segment, "corrupt", None) for path in paths for segment in path.segments]
+        return stack
 
     def at(stack, index, u):
         w, s = real(stack, index, u)
-        tags = [getattr(segment, "corrupt", None) for segment in stack.segments]
+        tags = getattr(stack, "tags", [])
         for corrupt in set(tags) - {None}:
             on = np.isin(index, [i for i, tag in enumerate(tags) if tag is corrupt])
             bad_w, bad_s = corrupt(u, w, s)
@@ -252,6 +273,7 @@ def corruptible(monkeypatch):
         return w, s
 
     monkeypatch.setattr(planner_mod._ArcStack, "at", at)
+    monkeypatch.setattr(planner_mod._ArcStack, "from_paths", classmethod(from_paths))
 
 
 def _sign_flip(u, w, s):
@@ -278,6 +300,16 @@ def _pushed_off_line(u, w, s):
     w = w.copy()
     w[..., 0] += 1e-3 * u
     return w, s
+
+
+def _turned(u, w, s):
+    # w turned by e^{0.5i}: the same line, sphere and speed, so only junctions see it
+    return w * np.exp(0.5j), s
+
+
+def _nan_at_start(u, w, s):
+    # NaN where the segment starts: its junction with the segment before reads NaN
+    return w, np.where(u == 0.0, math.nan, s)
 
 
 @pytest.mark.usefixtures("corruptible")
@@ -322,8 +354,9 @@ class TestCheckPath:
         x, y = self._pair()
         clean = check_paths_random(2, trials=100, samples=21)
         assert clean.passed
-        assert clean.worst.keys() == {"endpoint", "normalization", "base-line drift", "continuity"}
+        assert clean.worst.keys() == {"endpoint", "normalization", "base-line drift", "continuity", "junction"}
         assert clean.worst["endpoint"] <= ENDPOINT_TOL
+        assert clean.worst["junction"] <= ENDPOINT_TOL
         assert clean.worst["normalization"] <= NORM_DRIFT_TOL
         assert clean.worst["base-line drift"] <= BASE_DRIFT_TOL
         assert 0.0 < clean.worst["continuity"] <= LIPSCHITZ_BOUND
@@ -359,11 +392,52 @@ class TestArrayChecker:
         jump = check_path(_corrupted(path, _fine_jump), samples=21)
         assert [f[:2] for f in jump.failures] == [("segment=0 u=0.350000", "continuity")]
 
+    def test_turned_middle_arc_fails_exactly_its_junctions(self):
+        piece_one = self._paths()[1]
+        assert len(piece_one.segments) == 3
+        turned = _corrupted(piece_one, _turned, only=1)
+        expected = _scalar_check_path(turned, 21)
+        out = check_path(turned, samples=21)
+        _assert_same_outcome(out, expected)
+        assert [f[:2] for f in out.failures] == [("segment=1 junction", "junction"), ("segment=2 junction", "junction")]
+        assert [f[2] for f in out.failures] == [pytest.approx(2 * math.sin(0.25))] * 2
+        assert out.worst["junction"] == pytest.approx(2 * math.sin(0.25))
+
+    def test_nan_junction_fails(self):
+        turned = _corrupted(self._paths()[1], _nan_at_start, only=1)
+        expected = _scalar_check_path(turned, 21)
+        out = check_path(turned, samples=21)
+        _assert_same_outcome(out, expected)
+        junctions = [f for f in out.failures if f[1] == "junction"]
+        assert [f[0] for f in junctions] == ["segment=1 junction"] and math.isnan(junctions[0][2])
+        assert math.isnan(out.worst["junction"])
+
+    def test_one_segment_path_has_no_junction(self):
+        out = check_path(self._paths()[0], samples=21)
+        assert out.passed and out.worst["junction"] == 0.0
+
     def test_mixed_batch_matches_the_reference(self):
+        # one stacked check of all paths against the merged per-path references
         paths = self._paths()
         batch = paths + [_corrupted(p, c) for c in self.CORRUPTIONS for p in paths] + paths
-        for got, path in zip(_check_paths(batch, 21), batch):
-            _assert_same_outcome(got, _scalar_check_path(path, 21))
+        batch.append(_corrupted(paths[1], _turned, only=1))
+        got = VerificationOutcome("batch")
+        ends = [
+            (np.stack([point.w for point in points]), np.array([point.s for point in points]))
+            for points in ([p.start for p in batch], [p.end for p in batch])
+        ]
+        z = np.stack([path.z.z for path in batch])
+        stack = planner_mod._ArcStack.from_paths(batch)
+        got.cases = _check_paths(got, stack, z, *ends, 21, lambda p: f"path#{p} ")
+        expected = VerificationOutcome("batch")
+        for i, path in enumerate(batch):
+            sub = _scalar_check_path(path, 21)
+            expected.cases += sub.cases
+            for d, invariant, value in sub.failures:
+                expected.record(f"path#{i} {d}", invariant, value)
+            for invariant, value in sub.worst.items():
+                expected.worst[invariant] = max(expected.worst.get(invariant, value), value)
+        _assert_same_outcome(got, expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_paths_random_matches_merged_reference(self, n):
@@ -396,6 +470,22 @@ class TestCheckPartition:
         with pytest.raises(ValueError):
             check_partition(0)
 
+    def test_random_pairs_are_drawn_in_chunks(self, monkeypatch):
+        drawn = []
+        real = verify_mod._random_pairs
+
+        def recording(rng, n, count):
+            drawn.append(real(rng, n, count))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify_mod, "_random_pairs", recording)
+        monkeypatch.setattr(verify_mod, "PAIR_CHUNK", 7)
+        assert check_partition(1, trials=30).cases == 30 + len(boundary_pairs(1)) + 2
+        assert [len(rows[0]) for rows in drawn] == [7, 7, 7, 7, 2, 2]  # the last two: the cross-fiber pair
+        block = real(np.random.default_rng(DEFAULT_SEED), 1, 32)
+        for got, expected in zip(zip(*drawn), block):
+            assert np.array_equal(np.concatenate(got), expected)  # one stream, as drawn at once
+
     def test_rejects_negative_trials(self):
         with pytest.raises(ValueError, match="^trials must be >= 0, got -1"):
             check_partition(2, trials=-1)
@@ -405,14 +495,63 @@ class TestCheckPathsRandom:
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_block_draw_is_the_per_pair_draw(self, n):
         rng, reference = np.random.default_rng(DEFAULT_SEED + n), np.random.default_rng(DEFAULT_SEED + n)
-        got = verify_mod._random_pairs(rng, n, 40)
+        z, xw, xs, yw, ys = verify_mod._random_pairs(rng, n, 40)
         expected = [random_pair(reference, n) for _ in range(40)]
-        for pair, reference_pair in zip(got, expected):
+        for k, (x, y) in enumerate(expected):
+            assert z[k].tobytes() == x.z.z.tobytes() == y.z.z.tobytes()
+            assert xw[k].tobytes() == x.w.tobytes() and yw[k].tobytes() == y.w.tobytes()
+            assert (xs[k], ys[k]) == (x.s, y.s)
+        for pair, reference_pair in zip(verify_mod._pair_points(z, xw, xs, yw, ys), expected):
             for point, ref in zip(pair, reference_pair):
-                assert point.z.z.tobytes() == ref.z.z.tobytes() and point.w.tobytes() == ref.w.tobytes()
-                assert point.s == ref.s and type(point.s) is float
+                assert point.w.tobytes() == ref.w.tobytes() and point.s == ref.s and type(point.s) is float
                 assert not (point.z.z.flags.writeable or point.w.flags.writeable)
         assert rng.standard_normal() == reference.standard_normal()  # the same stream position
+
+    def test_chunked_draw_is_the_block_draw(self):
+        whole = np.random.default_rng(DEFAULT_SEED).standard_normal((1000, 7))
+        rng = np.random.default_rng(DEFAULT_SEED)
+        chunks = [rng.standard_normal((size, 7)) for size in (300, 1, 699)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+        rng = np.random.default_rng(DEFAULT_SEED + 1)
+        drawn = [verify_mod._random_pairs(rng, 2, size) for size in (300, 0, 1, 699)]
+        block = verify_mod._random_pairs(np.random.default_rng(DEFAULT_SEED + 1), 2, 1000)
+        for got, expected in zip(zip(*drawn), block):
+            assert np.array_equal(np.concatenate(got), expected)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_boundary_pairs_match_the_reference(self, n):
+        got, expected = boundary_pairs(n), reference_boundary_pairs(n)
+        assert [k for _, _, k in got] == [k for _, _, k in expected]
+        for (x, y, _), (x_ref, y_ref, _) in zip(got, expected):
+            for point, ref in ((x, x_ref), (y, y_ref)):
+                assert np.array_equal(point.z.z, ref.z.z) and np.array_equal(point.w, ref.w)
+                assert point.s == ref.s and type(point.s) is float
+
+    def test_pieces_from_the_boundary_pairs_alone(self):
+        out = check_paths_random(1, 0)
+        assert out.passed and out.pieces == {0: 3, 1: 3, 2: 2, 3: 2}
+        assert sum(check_paths_random(2, 300).pieces.values()) == 300 + len(boundary_pairs(2))
+
+    def test_no_scalar_planning(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the path suite planned a pair with the scalar planner")
+
+        for module in (planner_mod, verify_mod):
+            monkeypatch.setattr(module, "plan", refuse)
+            monkeypatch.setattr(module, "classify_pair", refuse)
+        out = check_paths_random(2, trials=CHECK_POINTS // 21 + 5, samples=21)
+        assert out.passed and out.cases == CHECK_POINTS // 21 + 5 + len(boundary_pairs(2))
+
+    def test_a_bad_point_raises_as_the_constructor(self, monkeypatch):
+        real = verify_mod._random_pairs
+
+        def off_the_sphere(rng, n, count):
+            z, xw, xs, yw, ys = real(rng, n, count)
+            return z, xw, xs * (1.0 + 1e-6), yw, ys
+
+        monkeypatch.setattr(verify_mod, "_random_pairs", off_the_sphere)
+        with pytest.raises(ValueError, match="is not 1"):
+            check_paths_random(1, trials=3)
 
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -435,9 +574,9 @@ class TestCheckPathsRandom:
         sizes = []
         real = verify_mod._check_paths
 
-        def counting(paths, samples):
-            sizes.append(len(paths))
-            return real(paths, samples)
+        def counting(out, stack, *rest):
+            sizes.append(len(stack.count))
+            return real(out, stack, *rest)
 
         monkeypatch.setattr(verify_mod, "_check_paths", counting)
         out = check_paths_random(1, trials=25, seed=DEFAULT_SEED, samples=1000)
