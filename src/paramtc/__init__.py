@@ -34,7 +34,6 @@ _LAZY = {
             "cell_index",
             "cell_section",
             "classify_pair",
-            "fiber_distance",
             "fiber_inner",
             "plan",
             "plan_hopf",

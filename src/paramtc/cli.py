@@ -61,8 +61,8 @@ MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path; chunks hold verify.C
 # chunk (verify --suite all --n 2 peaked at 41.6 MB at 2,000 and 41.7 MB at 200,000).
 MAX_VERIFY_N = 64
 # --n-max of verify and table: table --family k-eta builds about n_max^3 / 2
-# descriptors (1.7 s at 32, 13.8 s at 64) and the oracle suite grows about as
-# n_max^3 (4.4 s at 32).
+# descriptors (0.4 s at 32; 3.2 s end to end at 64) and the oracle suite grows
+# about as n_max^3 (2.8 s at 32), timed on a shared 2-vCPU host.
 MAX_N_MAX = 64
 
 
@@ -411,10 +411,8 @@ def _cmd_plan(args) -> int:
             {"t": i / (args.samples - 1), "w": _complex_vector_to_json(p.w), "s": p.s}
             for i, p in enumerate(path.sample(args.samples))
         ]
-    segments = [
-        {"kind": seg.kind, "t0": path.breakpoints[i], "t1": path.breakpoints[i + 1]}
-        for i, seg in enumerate(path.segments)
-    ]
+    breaks = path.breakpoints
+    segments = [{"kind": kind, "t0": breaks[i], "t1": breaks[i + 1]} for i, kind in enumerate(path.kinds)]
 
     if args.format == "json":
         print(_json_dumps({"piece": path.piece, "segments": segments, "samples": samples}))

@@ -16,24 +16,29 @@ same-fiber pairs (x, y) into n + 3 pieces:
   speed so its parametric velocity never exceeds the arc length);
 * piece 1: antipodal pairs off the poles ``(0, +-1)``, joined in three
   steps -- flatten x along its great circle to the equator point
-  ``(w/|w|, 0)``, rotate that point by the phase e^{i pi t}, and unflatten
-  along the mirrored great circle to -x;
+  ``(w/|w|, 0)``, rotate that point by the phase e^{i pi t} to
+  ``(-w/|w|, 0)``, then run the geodesic from there to y;
 * piece 2 + j: antipodal pairs at the poles over the open cell of CP^n
-  whose last nonzero homogeneous coordinate is the j-th, joined by a polar
-  rotation towards a direction the cell section picks continuously.
+  whose last nonzero homogeneous coordinate is the j-th, joined by a
+  quarter turn of polar rotation towards the direction d the cell section
+  picks continuously, then the geodesic from d to y.
 
-On every piece the plan is continuous in (x, y); no plan can be continuous
+Each piece has a fixed arc template -- 1, 3 and 2 arcs -- whose last arc
+ends on y itself, so y need not be exactly -x on an antipodal piece.  On
+every piece the plan is continuous in (x, y); no plan can be continuous
 across all pieces at once, which is the point of the TC lower bounds.  All
 formulas act on ``(w, s)`` only, never on the representative ``z`` alone,
 so everything is invariant under ``z -> lambda z``.
 
-There are two planners for this partition.  :func:`plan` takes one pair of
-points and returns a :class:`PlannedPath`; ``paramtc plan`` answers each
-query with it, and it is the reference the batched planner is tested
-against.  ``_plan_stack`` takes many pairs as plain arrays and writes every
-path's arcs straight into one ``_ArcStack``; the path suite plans with it.
-The scalar planner stays because a batch of one costs more than twice as
-much as one scalar call, and single queries are what ``paramtc plan`` runs.
+There are two planners for this partition, and one array builder per piece
+writes the arcs for both.  :func:`plan` takes one pair of points, calls its
+piece's builder on one row and returns a :class:`PlannedPath`; ``paramtc
+plan`` answers each query with it.  ``_plan_stack`` takes many pairs as
+plain arrays, calls each builder on its piece's rows and writes them into
+one ``_ArcStack``; the path suite plans with it.  Both classify by the same
+comparisons and evaluate with the same ``_ArcStack``.  The one-pair planner
+stays because a batch of one costs about twice as much, and single queries
+are what ``paramtc plan`` runs.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ __all__ = [
     "BundlePoint",
     "PlannedPath",
     "fiber_inner",
-    "fiber_distance",
     "classify_pair",
     "cell_index",
     "cell_section",
@@ -61,8 +65,8 @@ __all__ = [
     "DegenerateRepresentativeError",
 ]
 
-# default classification tolerances: deterministic piece assignment, with the
-# snap segment absorbing the resulting endpoint slack
+# default classification tolerances: deterministic piece assignment; the last
+# arc of every piece ends on y, so a pair within them still ends exactly
 TOL_ANTI = 1e-8
 TOL_CELL = 1e-10
 # smallest tol_anti plan accepts: a piece-0 pair this close to antipodal has a
@@ -70,7 +74,6 @@ TOL_CELL = 1e-10
 # once tol_anti <= 1e-13, where such paths left the line; 1e-10 keeps 3 decades.
 TOL_ANTI_MIN = 1e-10
 
-_SNAP_EPS = 1e-12
 _REP_TOL = 1e-12
 _UNIT_TOL = 1e-9
 
@@ -268,17 +271,23 @@ def _require_same_fiber(x: BundlePoint, y: BundlePoint) -> None:
         raise NotSameFiberError("points lie over different base points")
 
 
+def _pair_row(x: BundlePoint, y: BundlePoint) -> tuple[np.ndarray, ...]:
+    """The pair as one row of the array planners' ``(z, xw, xs, yw, ys)``."""
+    return x.z.z[np.newaxis], x.w[np.newaxis], np.array([x.s]), y.w[np.newaxis], np.array([y.s])
+
+
 def fiber_inner(x: BundlePoint, y: BundlePoint) -> float:
     """Scalar product in the fiber: Re<w, w'> + s*s' (orthogonal-sum metric)."""
     _require_same_fiber(x, y)
     return float(np.real(_hdot(x.w, y.w))) + x.s * y.s
 
 
-def fiber_distance(x: BundlePoint, y: BundlePoint) -> float:
-    """Euclidean distance of the fiber coordinates (gauge-invariant)."""
-    _require_same_fiber(x, y)
-    dw = float(np.linalg.norm(x.w - y.w))
-    return math.hypot(dw, x.s - y.s)
+def _cells(z: np.ndarray, tol_cell: float) -> np.ndarray:
+    """Cell index of each row of ``z``: its last coordinate of magnitude above ``tol_cell``."""
+    above = np.abs(z) > tol_cell
+    if not above.any(axis=-1).all():
+        raise DegenerateRepresentativeError(f"all coordinates are below the cell tolerance {tol_cell}")
+    return above.shape[-1] - 1 - np.argmax(above[:, ::-1], axis=-1)
 
 
 def cell_index(z: ProjectiveRep, tol_cell: float = TOL_CELL) -> int:
@@ -287,13 +296,13 @@ def cell_index(z: ProjectiveRep, tol_cell: float = TOL_CELL) -> int:
     The 2j-cell consists of the lines whose last nonzero homogeneous
     coordinate is the j-th.
     """
-    mags = np.abs(z.z)
-    idx = np.nonzero(mags > tol_cell)[0]
-    if idx.size == 0:
-        raise DegenerateRepresentativeError(
-            f"all coordinates are below the cell tolerance {tol_cell}"
-        )
-    return int(idx[-1])
+    return int(_cells(z.z[np.newaxis], tol_cell)[0])
+
+
+def _sections(z: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each row ``z[i]`` with the phase of its coordinate ``j[i]`` divided out."""
+    zj = z[np.arange(len(z)), j]
+    return (zj.conj() / np.abs(zj))[:, np.newaxis] * z
 
 
 def cell_section(z: ProjectiveRep, j: int, tol_cell: float = TOL_CELL) -> np.ndarray:
@@ -307,7 +316,22 @@ def cell_section(z: ProjectiveRep, j: int, tol_cell: float = TOL_CELL) -> np.nda
         raise DegenerateRepresentativeError(
             f"coordinate {j} has magnitude {abs(zj):.2e} <= {tol_cell}"
         )
-    return (zj.conjugate() / abs(zj)) * z.z
+    return _sections(z.z[np.newaxis], [j])[0]
+
+
+def _pieces(z, xw, xs, yw, ys, tol_anti: float, tol_cell: float) -> np.ndarray:
+    """The partition piece of each pair, from ``(xw[i], xs[i])`` to ``(yw[i], ys[i])`` over the line of ``z[i]``.
+
+    0 if the fiber inner product exceeds -1 + ``tol_anti``; else 1 if
+    ``|xw| > tol_anti``; else 2 + the cell index.
+    """
+    inner = np.vecdot(yw, xw).real + xs * ys  # fiber_inner: Re<xw, yw> + xs ys
+    antipodal = ~(inner > -1.0 + tol_anti)
+    poles = antipodal & ~(_norms(xw) > tol_anti)
+    piece = antipodal.astype(np.intp) + poles
+    if poles.any():
+        piece[poles] += _cells(z[poles], tol_cell)
+    return piece
 
 
 def classify_pair(
@@ -321,61 +345,80 @@ def classify_pair(
     0 for non-antipodal pairs; 1 for antipodal pairs with ``x`` off the
     poles; 2 + (cell index of the base point) for antipodal pole pairs.
     """
-    d = fiber_inner(x, y)
-    if d > -1.0 + tol_anti:
-        return 0
-    if x.w_norm > tol_anti:
-        return 1
-    return 2 + cell_index(x.z, tol_cell)
+    _require_same_fiber(x, y)
+    return int(_pieces(*_pair_row(x, y), tol_anti, tol_cell)[0])
 
 
-# -- path segments -----------------------------------------------------------
+# -- arcs ----------------------------------------------------------------------
 #
 # Every segment is a great-circle arc cos(a) p + sin(a) d through orthonormal
 # fiber points p and d, with a = u * angle on the segment's local time u in
-# [0, 1]: constant speed |angle| <= pi, analytic in u.
+# [0, 1]: constant speed |angle| <= pi, analytic in u.  An arc is the tuple
+# (wp, sp, wd, sd, angle) of pivot, direction and angle, one row per pair.  An
+# interpolation arc is built from its ends (w0, s0, w1, s1) by _geodesics.
 
 
-class ArcSegment:
-    """Great-circle arc ``cos(a) p + sin(a) d``, ``a`` running from 0 to ``angle``.
+def _geodesics(w0: np.ndarray, s0: np.ndarray, w1: np.ndarray, s1: np.ndarray):
+    """Constant-speed arcs from each ``(w0, s0)`` to a non-antipodal ``(w1, s1)``.
 
-    ``arc`` holds ``(w_p, s_p, w_d, s_d, angle)``: pivot, direction, angle.
+    The direction is the part of the end orthogonal to the start; the angle
+    comes from arctan2, which stays accurate near 0 and near pi, unlike
+    arccos.  Equal ends give angle 0 and the zero direction.
     """
-
-    def __init__(
-        self,
-        kind: str,
-        pivot: tuple[np.ndarray, float],
-        direction: tuple[np.ndarray, float],
-        angle: float,
-    ):
-        self.kind = kind
-        self.arc = (*pivot, *direction, angle)
+    inner = np.vecdot(w1, w0).real + s0 * s1
+    wd, sd = w1 - inner[:, np.newaxis] * w0, s1 - inner * s0
+    perp = np.sqrt(np.vecdot(wd, wd).real + sd * sd)
+    scale = perp + (perp == 0.0)  # a zero-length arc keeps its zero direction
+    return w0, s0, wd / scale[:, np.newaxis], sd / scale, np.arctan2(perp, inner)
 
 
-def _geodesic(start: tuple[np.ndarray, float], end: tuple[np.ndarray, float]) -> ArcSegment:
-    """Constant-speed arc from ``start`` to a non-antipodal ``end``.
+def _phase_turns(w: np.ndarray, phi: float):
+    """Rotate each equator point ``(w, 0)`` by the phase ``e^{i a}``, a running from 0 to ``phi``."""
+    zero = np.zeros(len(w))
+    return w, zero, 1j * w, zero, np.full(len(w), phi)
 
-    The direction is the part of ``end`` orthogonal to ``start``; the angle
-    comes from atan2, which stays accurate near 0 and near pi, unlike acos.
+
+def _polar_turns(z: np.ndarray, j: np.ndarray, xw: np.ndarray, xs: np.ndarray):
+    """Quarter turns from each x to the cell section of coordinate j, orthonormalised against x.
+
+    The orthonormalisation is a no-op when x sits exactly on a pole.
     """
-    (w0, s0), (w1, s1) = start, end
-    inner = float(np.real(_hdot(w0, w1))) + s0 * s1
-    wd, sd = w1 - inner * w0, s1 - inner * s0
-    perp = math.sqrt(float(np.vdot(wd, wd).real) + sd * sd)
-    if perp == 0.0:
-        return ArcSegment("interpolation", start, (wd, sd), 0.0)
-    return ArcSegment("interpolation", start, (wd / perp, sd / perp), math.atan2(perp, inner))
+    direction = _sections(z, j)
+    overlap = np.vecdot(xw, direction).real
+    wd, sd = direction - overlap[:, np.newaxis] * xw, -overlap * xs
+    norm = np.hypot(_norms(wd), sd)
+    return xw, xs, wd / norm[:, np.newaxis], sd / norm, np.full(len(xs), math.pi / 2)
 
 
-def _phase_rotation(w: np.ndarray, phi: float) -> ArcSegment:
-    """Rotate the equator point ``(w, 0)`` by the phase ``e^{i a}``, a running 0 -> phi."""
-    return ArcSegment("phase-rotation", (w, 0.0), (1j * w, 0.0), phi)
+# The arc builders, one per piece: each takes the pairs' pieces and rows
+# ``(z, xw, xs, yw, ys)`` and returns their arcs in order, each interpolation
+# arc by its ends, so that the batch builds all of them in one call.
 
 
-def _breakpoints(m: int) -> tuple[float, ...]:
-    """Global times at which the m segments of a path begin, then 1."""
-    return tuple(i / m for i in range(m)) + (1.0,)
+def _piece_zero(piece, z, xw, xs, yw, ys):
+    """The geodesic from x to y."""
+    return [(xw, xs, yw, ys)]
+
+
+def _piece_one(piece, z, xw, xs, yw, ys):
+    """Flatten x to ``(e, 0)``, e = xw / |xw|; turn the phase by pi; the geodesic from ``(-e, 0)`` to y."""
+    e = xw / _norms(xw)[:, np.newaxis]
+    zero = np.zeros(len(xs))
+    return [(xw, xs, e, zero), _phase_turns(e, math.pi), (-e, zero, yw, ys)]
+
+
+def _pole_piece(piece, z, xw, xs, yw, ys):
+    """A quarter turn from x to the cell direction d, then the geodesic from d to y."""
+    turn = _polar_turns(z, piece - 2, xw, xs)
+    return [turn, (turn[2], turn[3], yw, ys)]
+
+
+# the arc kinds and the builder of pieces 0 and 1 and of every pole piece
+_TEMPLATES = (
+    (("interpolation",), _piece_zero),
+    (("interpolation", "phase-rotation", "interpolation"), _piece_one),
+    (("polar-rotation", "interpolation"), _pole_piece),
+)
 
 
 class _ArcStack:
@@ -391,12 +434,6 @@ class _ArcStack:
         self.first = np.cumsum(count) - count
         self.wp, self.sp, self.wd, self.sd, self.angle = wp, sp, wd, sd, angle
 
-    @classmethod
-    def from_paths(cls, paths: Sequence["PlannedPath"]) -> "_ArcStack":
-        """The stack of the segments of ``paths``, in order."""
-        arcs = zip(*(segment.arc for path in paths for segment in path.segments))
-        return cls(np.array([len(path.segments) for path in paths]), *map(np.array, arcs))
-
     def at(self, index, u):
         """Fiber coordinates of segment ``index`` at local time ``u``, the two broadcast together.
 
@@ -410,40 +447,45 @@ class _ArcStack:
     def paths_at(self, t: np.ndarray):
         """Every path at the global times ``t``: ``w[path, *t.shape, :]`` and ``s[path, *t.shape]``.
 
-        Each time belongs to the segment whose half-open interval ``[t0, t1)``
-        of the path's breakpoints holds it (t = 1 to the last), at local time
-        ``(t - t0) / (t1 - t0)``.  Paths are grouped by segment count, so the
-        dispatch loops over the few counts, not over paths.
+        A path's m segments share [0, 1] equally, so time t lies on segment
+        k = min(floor(t m), m - 1), whose breakpoints are t0 = k/m and
+        t1 = (k + 1)/m, at local time (t - t0) / (t1 - t0).
         """
-        index = np.empty(self.count.shape + t.shape, dtype=np.intp)
-        u = np.empty(index.shape)
-        for m in set(self.count.tolist()):  # not np.unique, which imports numpy.ma
-            breaks = np.array(_breakpoints(m))
-            k = np.searchsorted(breaks[1:-1], t, side="right")
-            rows = self.count == m
-            index[rows] = self.first[rows].reshape((-1,) + (1,) * t.ndim) + k
-            u[rows] = (t - breaks[k]) / (breaks[k + 1] - breaks[k])
-        return self.at(index, u)
+        m = self.count.reshape(self.count.shape + (1,) * t.ndim)
+        k = np.minimum((t * m).astype(np.intp), m - 1)  # truncation is the floor, as t >= 0
+        t0, t1 = k / m, (k + 1) / m
+        return self.at(self.first.reshape(m.shape) + k, (t - t0) / (t1 - t0))
 
 
 class PlannedPath:
     """A piecewise-analytic path in one fiber, evaluable at any t in [0, 1].
 
-    The m ``segments`` share global time equally: segment i runs over
-    ``[i/m, (i+1)/m]`` (the ``breakpoints``), in its own unit-time
-    parametrization.  The path lies over the base point of ``start`` and
+    Its m segments, of the given ``kinds``, share global time equally:
+    segment i runs over ``[i/m, (i+1)/m]`` (the ``breakpoints``), in its own
+    unit-time parametrization.  ``stack`` holds their arcs as a one-path
+    ``_ArcStack``.  The path lies over the base point of ``start`` and
     carries the piece index of the partition that produced it.
     """
 
-    __slots__ = ("piece", "z", "segments", "breakpoints", "start", "end")
+    __slots__ = ("piece", "kinds", "stack", "start", "end")
 
-    def __init__(self, piece: int, segments: Sequence, start: BundlePoint, end: BundlePoint):
+    def __init__(self, piece: int, kinds: tuple[str, ...], arcs, start: BundlePoint, end: BundlePoint):
+        """``arcs`` holds the path's arcs in order, each with one row."""
         self.piece = piece
-        self.z = start.z
-        self.segments = tuple(segments)
-        self.breakpoints = _breakpoints(len(segments))
+        self.kinds = kinds
+        self.stack = _ArcStack(np.array([len(kinds)]), *map(np.concatenate, zip(*arcs)))
         self.start = start
         self.end = end
+
+    @property
+    def z(self) -> ProjectiveRep:
+        return self.start.z
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Global times at which the segments begin, then 1."""
+        m = len(self.kinds)
+        return tuple(i / m for i in range(m)) + (1.0,)
 
     def fiber_at(self, t):
         """Fiber coordinates at global time ``t``, a float or an array of times.
@@ -456,26 +498,19 @@ class PlannedPath:
         t = np.asarray(t, dtype=float)
         if not ((0.0 <= t) & (t <= 1.0)).all():
             raise ValueError("t must lie in [0, 1]")
-        w, s = _ArcStack.from_paths([self]).paths_at(t)
+        w, s = self.stack.paths_at(t)
         return w[0], s[0]
 
-    def at(self, t: float) -> BundlePoint:
-        return self._points(np.array([t], dtype=float))[0]
-
     def sample(self, count: int) -> list[BundlePoint]:
-        """Evaluate at ``count`` uniformly spaced times including both ends."""
+        """Evaluate at ``count`` uniformly spaced times including both ends, as points checked once."""
         if count < 2:
             raise ValueError("need at least two samples")
-        return self._points(np.arange(count) / (count - 1))
-
-    def _points(self, t: np.ndarray) -> list[BundlePoint]:
-        """The path at the times ``t`` as points, checked once on the whole array."""
+        t = np.arange(count) / (count - 1)
         w, s = self.fiber_at(t)
         return BundlePoint._from_rows([self.z] * t.size, w, s)
 
     def __repr__(self) -> str:
-        kinds = ", ".join(seg.kind for seg in self.segments)
-        return f"PlannedPath(piece={self.piece}, segments=[{kinds}])"
+        return f"PlannedPath(piece={self.piece}, segments=[{', '.join(self.kinds)}])"
 
 
 def plan(
@@ -486,45 +521,17 @@ def plan(
 ) -> PlannedPath:
     """Plan a fiberwise motion from x to y; dispatches on :func:`classify_pair`.
 
-    Pairs routed to an antipodal piece whose y is not exactly -x get a final
-    short interpolation segment snapping the endpoint onto y, so endpoint
-    exactness survives the classification tolerance.  ``tol_anti`` below
-    :data:`TOL_ANTI_MIN` raises ``ValueError``.
+    The piece's builder gives the arcs, the last of which ends on y, so
+    endpoint exactness survives the classification tolerance.  ``tol_anti``
+    below :data:`TOL_ANTI_MIN` raises ``ValueError``.
     """
     if not tol_anti >= TOL_ANTI_MIN:  # also true for NaN
         raise ValueError(f"tol_anti must be at least {TOL_ANTI_MIN:g}, got {tol_anti}")
     piece = classify_pair(x, y, tol_anti, tol_cell)
-    p, q = (x.w, x.s), (y.w, y.s)
-
-    if piece == 0:
-        segments = [_geodesic(p, q)]
-    elif piece == 1:
-        equator_w = x.w / x.w_norm
-        segments = [
-            _geodesic(p, (equator_w, 0.0)),
-            _phase_rotation(equator_w, math.pi),
-            _geodesic((-equator_w, 0.0), (-x.w, -x.s)),
-        ]
-        segments += _snap_segment(x, y)
-    else:
-        direction = cell_section(x.z, piece - 2, tol_cell)
-        # orthonormalise against x; a no-op when x sits exactly on a pole
-        overlap = float(np.real(_hdot(direction, x.w)))
-        wd = direction - overlap * x.w
-        sd = -overlap * x.s
-        norm = math.hypot(float(np.linalg.norm(wd)), sd)
-        segments = [ArcSegment("polar-rotation", p, (wd / norm, sd / norm), math.pi)]
-        segments += _snap_segment(x, y)
-
-    return PlannedPath(piece, segments, x, y)
-
-
-def _snap_segment(x: BundlePoint, y: BundlePoint) -> list:
-    anti = (-x.w, -x.s)
-    dw = float(np.linalg.norm(anti[0] - y.w))
-    if math.hypot(dw, anti[1] - y.s) <= _SNAP_EPS:
-        return []
-    return [_geodesic(anti, (y.w, y.s))]
+    kinds, build = _TEMPLATES[min(piece, 2)]
+    arcs = build(np.array([piece]), *_pair_row(x, y))
+    arcs = [_geodesics(*arc) if kind == "interpolation" else arc for kind, arc in zip(kinds, arcs)]
+    return PlannedPath(piece, kinds, arcs, x, y)
 
 
 def _plan_stack(
@@ -535,75 +542,36 @@ def _plan_stack(
     Returns the pieces and the paths' arcs.  Pair k runs from
     ``(xw[k], xs[k])`` to ``(yw[k], ys[k])`` over the line of ``z[k]``; the
     rows must be valid points already.  The pieces come from the comparisons
-    of :func:`classify_pair`, and each path gets the arcs and segment count
-    :func:`plan` gives it: 1 for piece 0, 3 plus the snap for piece 1, 1 plus
-    the snap for a pole piece.  Every geodesic is built by one array call,
-    then the phase and polar rotations, each written straight into the
-    stack's rows.  A unit ``z`` always has a coordinate of at least
-    ``1 / sqrt(n + 1)``, far above ``TOL_CELL``, so no pole pair is degenerate.
+    of :func:`classify_pair`, and each piece's builder gives the arcs of its
+    pairs, as it does for :func:`plan`.  They go straight into the stack's
+    rows, every interpolation arc of every piece built by one call.
+    A unit ``z`` always has a coordinate of at least ``1 / sqrt(n + 1)``, far
+    above ``TOL_CELL``, so no pole pair is degenerate.
 
-    The scalar :func:`plan` stays for single queries: by timeit on a shared
-    2-vCPU host, a batch of one cost 95-128 us against 10-27 us for ``plan``,
-    far more than twice as much, and ``paramtc plan`` answers one pair per
-    query.  It is also the reference this batch is tested against.
+    The one-pair :func:`plan` stays for single queries: by timeit on a
+    shared 2-vCPU host, a batch of one cost 90-103 us against 32-56 us for
+    ``plan``, and ``paramtc plan`` answers one pair per query.
     """
-    w_norm = _norms(xw)
-    inner = np.vecdot(yw, xw).real + xs * ys  # fiber_inner: Re<xw, yw> + xs ys
-    piece = np.where(inner > -1.0 + TOL_ANTI, 0, np.where(w_norm > TOL_ANTI, 1, 2))
-    poles = np.flatnonzero(piece == 2)
-    above = np.abs(z[poles]) > TOL_CELL
-    piece[poles] += above.shape[-1] - 1 - np.argmax(above[:, ::-1], axis=-1)  # the last one above
-
-    anti = np.flatnonzero(piece > 0)
-    snap = np.zeros(piece.shape, dtype=bool)
-    snap[anti] = np.hypot(_norms(xw[anti] + yw[anti]), xs[anti] + ys[anti]) > _SNAP_EPS
-    count = np.where(piece == 1, 3, 1) + snap
+    piece = _pieces(z, xw, xs, yw, ys, TOL_ANTI, TOL_CELL)
+    template = np.minimum(piece, 2)
+    count = np.array([len(kinds) for kinds, _ in _TEMPLATES])[template]
     first = np.cumsum(count) - count
     rows = int(count.sum())
     wp, wd = np.empty((2, rows, z.shape[-1]), dtype=complex)
     sp, sd, angle = np.empty((3, rows))
-
-    # geodesics: piece 0, piece 1's flatten and unflatten, the snaps
-    flat = np.flatnonzero(piece == 1)
-    equator = xw[flat] / w_norm[flat, np.newaxis]
-    zero = np.zeros(flat.size)
-    bent = np.flatnonzero(snap)
-    ends = [
-        (first[piece == 0], xw[piece == 0], xs[piece == 0], yw[piece == 0], ys[piece == 0]),
-        (first[flat], xw[flat], xs[flat], equator, zero),
-        (first[flat] + 2, -equator, zero, -xw[flat], -xs[flat]),
-        (first[bent] + count[bent] - 1, -xw[bent], -xs[bent], yw[bent], ys[bent]),
-    ]
-    at, w0, s0, w1, s1 = (np.concatenate(part) for part in zip(*ends))
-    wp[at], sp[at] = w0, s0
-    wd[at], sd[at], angle[at] = _geodesics(w0, s0, w1, s1)
-
-    # piece 1's half turn of the phase on the equator
-    at = first[flat] + 1
-    wp[at], sp[at], wd[at], sd[at], angle[at] = equator, 0.0, 1j * equator, 0.0, math.pi
-
-    # the polar rotations towards the cell section, orthonormalised against x
-    if poles.size:
-        zj = z[poles, piece[poles] - 2]
-        direction = (zj.conj() / np.abs(zj))[:, np.newaxis] * z[poles]
-        overlap = np.vecdot(xw[poles], direction).real
-        w_dir = direction - overlap[:, np.newaxis] * xw[poles]
-        s_dir = -overlap * xs[poles]
-        norm = np.hypot(_norms(w_dir), s_dir)
-        at = first[poles]
-        wp[at], sp[at], angle[at] = xw[poles], xs[poles], math.pi
-        wd[at], sd[at] = w_dir / norm[:, np.newaxis], s_dir / norm
+    ends, ends_at = [], []
+    for i, (kinds, build) in enumerate(_TEMPLATES):
+        k = np.flatnonzero(template == i)
+        for j, (kind, arc) in enumerate(zip(kinds, build(piece[k], z[k], xw[k], xs[k], yw[k], ys[k]))):
+            at = first[k] + j
+            if kind == "interpolation":
+                ends.append(arc)
+                ends_at.append(at)
+            else:
+                wp[at], sp[at], wd[at], sd[at], angle[at] = arc
+    at = np.concatenate(ends_at)
+    wp[at], sp[at], wd[at], sd[at], angle[at] = _geodesics(*map(np.concatenate, zip(*ends)))
     return piece, _ArcStack(count, wp, sp, wd, sd, angle)
-
-
-def _geodesics(w0: np.ndarray, s0: np.ndarray, w1: np.ndarray, s1: np.ndarray):
-    """Direction and angle of :func:`_geodesic` from each ``(w0, s0)`` to ``(w1, s1)``, as arrays."""
-    inner = np.vecdot(w1, w0).real + s0 * s1
-    wd, sd = w1 - inner[:, np.newaxis] * w0, s1 - inner * s0
-    perp = np.sqrt(np.vecdot(wd, wd).real + sd * sd)
-    scale = np.where(perp == 0.0, 1.0, perp)  # a zero-length arc keeps its zero direction
-    angle = np.where(perp == 0.0, 0.0, np.arctan2(perp, inner))
-    return wd / scale[:, np.newaxis], sd / scale, angle
 
 
 def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
@@ -632,4 +600,4 @@ def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
         phi = math.pi
 
     start, end = BundlePoint(rep, z, 0.0), BundlePoint(rep, z2, 0.0)
-    return PlannedPath(piece, [_phase_rotation(z, phi)], start, end)
+    return PlannedPath(piece, ("phase-rotation",), [_phase_turns(start.w[np.newaxis], phi)], start, end)

@@ -240,8 +240,7 @@ def check_path(path: PlannedPath, samples: int = 50) -> VerificationOutcome:
     """
     out = VerificationOutcome("path")
     ends = [(point.w[np.newaxis], np.array([point.s])) for point in (path.start, path.end)]
-    stack = _ArcStack.from_paths([path])
-    out.cases = _check_paths(out, stack, path.z.z[np.newaxis], *ends, samples, lambda p: "")
+    out.cases = _check_paths(out, path.stack, path.z.z[np.newaxis], *ends, samples, lambda p: "")
     return out
 
 

@@ -102,7 +102,7 @@ def boundary_pairs(n: int) -> list[tuple[BundlePoint, BundlePoint, int]]:
 
 
 def masked_fiber_at(path: PlannedPath, t):
-    """``path.fiber_at(t)`` by a per-segment mask dispatch.
+    """``path.fiber_at(t)`` by a per-segment mask dispatch over the path's stored arcs.
 
     Each time goes to the segment whose half-open interval of the
     breakpoints holds it (t = 1 to the last), and each segment evaluates its
@@ -114,9 +114,10 @@ def masked_fiber_at(path: PlannedPath, t):
     u = (t - breaks[index]) / (breaks[index + 1] - breaks[index])
     w = np.empty(t.shape + path.z.z.shape, dtype=complex)
     s = np.empty(t.shape)
-    for i, segment in enumerate(path.segments):
+    arcs = path.stack
+    for i in range(len(path.kinds)):
         on = index == i
-        wp, sp, wd, sd, angle = segment.arc
+        wp, sp, wd, sd, angle = arcs.wp[i], arcs.sp[i], arcs.wd[i], arcs.sd[i], arcs.angle[i]
         a = u[on] * angle
         c, sin = np.cos(a), np.sin(a)
         w[on] = np.multiply.outer(c, wp) + np.multiply.outer(sin, wd)

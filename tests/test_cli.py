@@ -235,16 +235,16 @@ t s w
 1.000000 1.66533453694e-16 0.6,0;0,0.8
 """,
     ),
-    # y is -x turned by 1e-5 rad in phase: piece 1, ended by a snap segment
+    # y is -x turned by 1e-5 rad in phase: still piece 1, the last arc ending on y
     "piece-1-snap": (
         "eta-plus-eps",
         {"x": _X, "y": {"z": _Z, "w": [[-0.36, 6e-06], [-8e-06, -0.48]], "s": -0.8}},
         """\
 t s w
 0.000000 0.8 0.36,0;0,0.48
-0.250000 0 0.6,0;0,0.8
-0.500000 0 -0.6,0;0,-0.8
-0.750000 -0.8 -0.36,0;0,-0.48
+0.250000 0.229752920547 0.583949393681,0;0,0.778599191574
+0.500000 0 -2.29714121936e-16,0.6;-0.8,-3.06285495914e-16
+0.750000 -0.229752920539 -0.583949393679,1.72314690404e-06;-2.29752920539e-06,-0.778599191572
 1.000000 -0.79999999996 -0.359999999982,5.9999999997e-06;-7.9999999996e-06,-0.479999999976
 """,
     ),
@@ -255,9 +255,9 @@ t s w
 t s w
 0.000000 1 0,0;0,0
 0.250000 0.707106781187 0,-0.424264068712;0.565685424949,0
-0.500000 6.12323399574e-17 0,-0.6;0.8,0
+0.500000 -0 0,-0.6;0.8,0
 0.750000 -0.707106781187 0,-0.424264068712;0.565685424949,0
-1.000000 -1 0,-7.34788079488e-17;9.79717439318e-17,0
+1.000000 -1 0,-3.67394039744e-17;4.89858719659e-17,0
 """,
     ),
     "hopf": (
@@ -275,23 +275,19 @@ t s w
 }
 
 # the literal `plan --format json` piece and segment list (kind, t0, t1) of
-# each path shape; piece 1 takes 3 segments for y = -x, 4 with a snap segment
+# each path shape; every piece has a fixed template, whether or not y = -x
 _ANTIPODE = {"x": _X, "y": {"z": _Z, "w": [[-0.36, 0.0], [0.0, -0.48]], "s": -0.8}}
 _THIRD, _TWO_THIRDS = 0.3333333333333333, 0.6666666666666666
+_PIECE_ONE = [
+    ("interpolation", 0.0, _THIRD),
+    ("phase-rotation", _THIRD, _TWO_THIRDS),
+    ("interpolation", _TWO_THIRDS, 1.0),
+]
 PLAN_SEGMENTS = {
     "piece-0": (0, [("interpolation", 0.0, 1.0)]),
-    "piece-1": (1, [
-        ("interpolation", 0.0, _THIRD),
-        ("phase-rotation", _THIRD, _TWO_THIRDS),
-        ("interpolation", _TWO_THIRDS, 1.0),
-    ]),
-    "piece-1-snap": (1, [
-        ("interpolation", 0.0, 0.25),
-        ("phase-rotation", 0.25, 0.5),
-        ("interpolation", 0.5, 0.75),
-        ("interpolation", 0.75, 1.0),
-    ]),
-    "pole": (3, [("polar-rotation", 0.0, 1.0)]),
+    "piece-1": (1, _PIECE_ONE),
+    "piece-1-snap": (1, _PIECE_ONE),
+    "pole": (3, [("polar-rotation", 0.0, 0.5), ("interpolation", 0.5, 1.0)]),
     "hopf": (0, [("phase-rotation", 0.0, 1.0)]),
 }
 

@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +11,15 @@ from paramtc.planner import (
     TOL_ANTI,
     TOL_ANTI_MIN,
     TOL_CELL,
-    ArcSegment,
     BundlePoint,
     DegenerateRepresentativeError,
     NotSameFiberError,
     PlannedPath,
     ProjectiveRep,
-    _ArcStack,
     _plan_stack,
     cell_index,
     cell_section,
     classify_pair,
-    fiber_distance,
     fiber_inner,
     plan,
     plan_hopf,
@@ -46,6 +39,12 @@ def random_point(z: ProjectiveRep) -> BundlePoint:
     v = RNG.standard_normal(3)
     v /= np.linalg.norm(v)
     return BundlePoint.from_fiber(z, complex(v[0], v[1]), float(v[2]))
+
+
+def distance(path: PlannedPath, t: float, point: BundlePoint) -> float:
+    """Euclidean distance of the fiber coordinates of the path at t from those of ``point``."""
+    w, s = path.fiber_at(t)
+    return math.hypot(float(np.linalg.norm(w - point.w)), s - point.s)
 
 
 class TestTypes:
@@ -186,7 +185,7 @@ class TestPlanHopf:
         path = plan_hopf(z, z)
         assert path.piece == 0
         for t in (0.0, 0.3, 1.0):
-            assert np.allclose(path.at(t).w, z, atol=1e-12)
+            assert np.allclose(path.fiber_at(t)[0], z, atol=1e-12)
 
     def test_quarter_turn_formula(self):
         z = random_rep(1).z
@@ -195,14 +194,14 @@ class TestPlanHopf:
         assert path.piece == 0
         for t in (0.0, 0.25, 0.5, 1.0):
             expected = np.exp(1j * math.pi * t / 2) * z
-            assert np.allclose(path.at(t).w, expected, atol=1e-12)
+            assert np.allclose(path.fiber_at(t)[0], expected, atol=1e-12)
 
     def test_antipodal_rotation(self):
         z = random_rep(2).z
         path = plan_hopf(z, -z)
         assert path.piece == 1
-        assert np.allclose(path.at(0.5).w, 1j * z, atol=1e-12)
-        assert np.allclose(path.at(1.0).w, -z, atol=1e-12)
+        assert np.allclose(path.fiber_at(0.5)[0], 1j * z, atol=1e-12)
+        assert np.allclose(path.fiber_at(1.0)[0], -z, atol=1e-12)
 
     def test_non_proportional_rejected(self):
         with pytest.raises(NotSameFiberError):
@@ -223,22 +222,22 @@ class TestPlan:
         path = plan(x, x)
         assert path.piece == 0
         for t in (0.0, 0.37, 1.0):
-            assert fiber_distance(path.at(t), x) < 1e-12
+            assert distance(path, t, x) < 1e-12
 
     def test_piece_one_passes_through_equator(self):
         z = random_rep(2)
         x = BundlePoint.from_fiber(z, 0.6, 0.8)
         path = plan(x, x.antipode())
         assert path.piece == 1
-        assert len(path.segments) == 3
+        assert path.kinds == ("interpolation", "phase-rotation", "interpolation")
         for t in (1 / 3, 0.5, 2 / 3):
             _, s = path.fiber_at(t)
             assert s == pytest.approx(0.0, abs=1e-12)
         # halfway the equatorial phase is i
         w_half, _ = path.fiber_at(0.5)
         assert np.allclose(w_half, 1j * x.w / x.w_norm, atol=1e-12)
-        assert fiber_distance(path.at(0.0), x) < 1e-12
-        assert fiber_distance(path.at(1.0), x.antipode()) < 1e-12
+        assert distance(path, 0.0, x) < 1e-12
+        assert distance(path, 1.0, x.antipode()) < 1e-12
 
     def test_piece_one_alpha_checkpoint(self):
         # the first third flattens along the great circle from (0.6, 0.8) to
@@ -270,10 +269,12 @@ class TestPlan:
                 assert s == pytest.approx(a * x.s + b * y.s, rel=0.0, abs=1e-12)
 
     def test_pole_pair_polar_formula(self):
+        # a quarter turn to the cell direction, then the geodesic on to -x: one
+        # half turn at constant speed
         z = ProjectiveRep([1.0, 0.0, 0.0])
         sigma = BundlePoint.section_point(z)
         path = plan(sigma, sigma.antipode())
-        assert path.piece == 2
+        assert path.piece == 2 and path.kinds == ("polar-rotation", "interpolation")
         phi0 = cell_section(z, 0)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             w, s = path.fiber_at(t)
@@ -281,7 +282,8 @@ class TestPlan:
             assert s == pytest.approx(math.cos(math.pi * t), abs=1e-12)
 
     def test_snap_segment_restores_endpoint(self):
-        # y close to but not exactly -x is still routed to piece 1
+        # y close to but not exactly -x is still routed to piece 1, whose last
+        # arc runs to y itself
         z = random_rep(2)
         x = BundlePoint.from_fiber(z, 0.6, 0.8)
         eps = 4e-5
@@ -289,8 +291,8 @@ class TestPlan:
         assert fiber_inner(x, y) < -1.0 + 1e-8
         path = plan(x, y)
         assert path.piece == 1
-        assert len(path.segments) == 4
-        assert fiber_distance(path.at(1.0), y) < 1e-12
+        assert len(path.kinds) == 3
+        assert distance(path, 1.0, y) < 1e-12
 
     def test_gauge_invariance(self):
         z = random_rep(2)
@@ -300,8 +302,9 @@ class TestPlan:
         x2 = BundlePoint(z2, x.w, x.s)
         y2 = BundlePoint(z2, y.w, y.s)
         a, b = plan(x, y), plan(x2, y2)
-        for t in np.linspace(0.0, 1.0, 33):
-            assert fiber_distance(a.at(t), b.at(t)) < 1e-9
+        t = np.linspace(0.0, 1.0, 33)
+        (wa, sa), (wb, sb) = a.fiber_at(t), b.fiber_at(t)
+        assert np.hypot(np.linalg.norm(wa - wb, axis=-1), sa - sb).max() < 1e-9
 
     def test_gauge_invariance_on_pole_piece(self):
         z = random_rep(2)
@@ -310,8 +313,9 @@ class TestPlan:
         sigma2 = BundlePoint.section_point(ProjectiveRep(lam * z.z))
         a = plan(sigma, sigma.antipode())
         b = plan(sigma2, sigma2.antipode())
-        for t in np.linspace(0.0, 1.0, 17):
-            assert fiber_distance(a.at(t), b.at(t)) < 1e-9
+        t = np.linspace(0.0, 1.0, 17)
+        (wa, sa), (wb, sb) = a.fiber_at(t), b.fiber_at(t)
+        assert np.hypot(np.linalg.norm(wa - wb, axis=-1), sa - sb).max() < 1e-9
 
     def test_random_pairs_keep_invariants(self):
         for n in (1, 2, 3):
@@ -319,8 +323,8 @@ class TestPlan:
                 z = random_rep(n)
                 x, y = random_point(z), random_point(z)
                 path = plan(x, y)
-                assert fiber_distance(path.at(0.0), x) < 1e-9
-                assert fiber_distance(path.at(1.0), y) < 1e-9
+                assert distance(path, 0.0, x) < 1e-9
+                assert distance(path, 1.0, y) < 1e-9
                 for point in path.sample(13):
                     norm = math.hypot(point.w_norm, point.s)
                     assert abs(norm - 1.0) < 1e-9
@@ -353,7 +357,7 @@ def test_off_pole_antipodes_keep_the_speed_bound(n, j):
                 targets = [x.antipode()]
                 if phase == 0.0:
                     # -x turned 3e-5 rad towards (i z, 0), a unit vector orthogonal
-                    # to x: still antipodal within TOL_ANTI, so a snap segment ends the path
+                    # to x: still antipodal within TOL_ANTI, and the last arc ends on it
                     eps = 3e-5
                     w = -math.cos(eps) * x.w + 1j * math.sin(eps) * z.z
                     targets.append(BundlePoint(z, w, -math.cos(eps) * x.s))
@@ -401,7 +405,7 @@ class TestPlannedPath:
         tilted = BundlePoint.from_fiber(z, 0.6, 0.8)
         paths = [plan(x, random_point(z)), plan(x, x.antipode()), plan(sigma, sigma.antipode())]
         paths.append(plan(tilted, near))
-        assert [len(p.segments) for p in paths] == [1, 3, 1, 4]
+        assert [len(p.kinds) for p in paths] == [1, 3, 2, 3]
         for path in paths:
             t = RNG.permutation(np.concatenate([np.linspace(0.0, 1.0, 29), path.breakpoints]))
             w, s = path.fiber_at(t)
@@ -418,8 +422,7 @@ class TestPlannedPath:
 
         Antipodes with |w| at 0.5x and 2x TOL_ANTI, and pole antipodes over
         a base point whose coordinate after the j-th has magnitude 0.5x or 2x
-        TOL_CELL (none after the last); each exact and with y nudged 1e-9 off -x,
-        which adds a snap segment.
+        TOL_CELL (none after the last); each exact and with y nudged 1e-9 off -x.
         """
         pairs = []
         for factor in (0.5, 2.0):
@@ -445,10 +448,10 @@ class TestPlannedPath:
         pairs = [random_pair(rng, n) for _ in range(30)] + self._near_threshold_pairs(n)
         pairs += [(x, y) for x, y, _ in boundary_pairs(n)] if n >= 1 else []
         paths = [plan(x, y) for x, y in pairs]
-        assert {len(path.segments) for path in paths} == {1, 2, 3, 4}
+        assert {len(path.kinds) for path in paths} == {1, 2, 3}
         breaks = [0.25, 0.5, 0.75, 1 / 3, 2 / 3]
         t = np.concatenate([np.linspace(0.0, 1.0, 41), rng.uniform(0.0, 1.0, 40), breaks])
-        stacked_w, stacked_s = _ArcStack.from_paths(paths).paths_at(t)
+        stacked_w, stacked_s = _plan_stack(*_rows(pairs))[1].paths_at(t)
         for k, path in enumerate(paths):
             w, s = masked_fiber_at(path, t)
             # bit for bit, signed zeros included
@@ -463,21 +466,19 @@ class TestPlannedPath:
     def test_sample_raises_as_the_constructor_on_a_broken_path(self):
         z = random_rep(2)
         x = random_point(z)
-        wp, sp, wd, sd, angle = plan(x, random_point(z)).segments[0].arc
-        for broken in (
-            ArcSegment("off the sphere", (1.01 * wp, 1.01 * sp), (1.01 * wd, 1.01 * sd), angle),
-            ArcSegment("off the line", (wp + 1e-3 * np.array([0, 1, 1j]), sp), (wd, sd), angle),
-            ArcSegment("not finite", (wp, sp), (wd, sd), math.nan),
+        for corrupt in (
+            lambda arcs: (1.01 * arcs.wp, 1.01 * arcs.sp, 1.01 * arcs.wd, 1.01 * arcs.sd, arcs.angle),  # off the sphere
+            lambda arcs: (arcs.wp + 1e-3 * np.array([0, 1, 1j]), arcs.sp, arcs.wd, arcs.sd, arcs.angle),  # off the line
+            lambda arcs: (arcs.wp, arcs.sp, arcs.wd, arcs.sd, np.full(1, math.nan)),  # not finite
         ):
-            path = PlannedPath(0, [broken], x, x)
+            path = plan(x, random_point(z))
+            stack = path.stack
+            stack.wp, stack.sp, stack.wd, stack.sd, stack.angle = corrupt(stack)
             w, s = path.fiber_at(np.arange(9) / 8)
             with pytest.raises(ValueError) as expected:
                 [BundlePoint(z, wi, si) for wi, si in zip(w, s)]
             with pytest.raises(ValueError) as got:
                 path.sample(9)
-            assert str(got.value) == str(expected.value)
-            with pytest.raises(ValueError) as got:
-                path.at(0.0)
             assert str(got.value) == str(expected.value)
 
     def test_sample_points_are_the_checked_constructor_points(self):
@@ -510,7 +511,7 @@ def _rows(pairs):
 
 
 def _off_antipodes(n):
-    """Pairs with y at 0, 1e-13, 2e-12 and 1e-9 from -x, either side of the snap threshold."""
+    """Pairs with y at 0, 1e-13, 2e-12 and 1e-9 from -x, and either side of where piece 0 begins."""
     pairs = []
     for _ in range(6):
         z = random_rep(n)
@@ -521,25 +522,30 @@ def _off_antipodes(n):
         v /= np.linalg.norm(v)
         x = BundlePoint.from_fiber(z, complex(p[0], p[1]), p[2])
         pairs.append((x, x.antipode()))
-        for gap in (1e-13, 2e-12, 1e-9):
+        for gap in (1e-13, 2e-12, 1e-9, 0.99 * math.sqrt(2 * TOL_ANTI), 1.01 * math.sqrt(2 * TOL_ANTI)):
             q = -math.cos(gap) * p + math.sin(gap) * v
             pairs.append((x, BundlePoint.from_fiber(z, complex(q[0], q[1]), q[2])))
     return pairs
 
 
 class TestPlanStack:
-    """The batched planner against the scalar reference ``plan``."""
+    """The batched planner against ``plan``: the same builders, so the same arcs bit for bit."""
 
     @staticmethod
     def _assert_plans_match(pairs):
         piece, stack = _plan_stack(*_rows(pairs))
         paths = [plan(x, y) for x, y in pairs]
         assert piece.tolist() == [path.piece for path in paths]
-        assert stack.count.tolist() == [len(path.segments) for path in paths]
+        assert stack.count.tolist() == [len(path.kinds) for path in paths]
+        for k, path in enumerate(paths):
+            rows = slice(stack.first[k], stack.first[k] + stack.count[k])
+            for name in ("wp", "sp", "wd", "sd", "angle"):
+                assert getattr(stack, name)[rows].tobytes() == getattr(path.stack, name).tobytes(), (k, name)
         t = np.concatenate([np.linspace(0.0, 1.0, 41), [0.25, 0.5, 0.75, 1 / 3, 2 / 3]])
         got_w, got_s = stack.paths_at(t)
-        expected_w, expected_s = _ArcStack.from_paths(paths).paths_at(t)
-        assert np.abs(got_w - expected_w).max() <= 1e-12 and np.abs(got_s - expected_s).max() <= 1e-12
+        for k, path in enumerate(paths):
+            w, s = path.fiber_at(t)
+            assert got_w[k].tobytes() == w.tobytes() and got_s[k].tobytes() == s.tobytes()
         return piece, stack
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -554,23 +560,10 @@ class TestPlanStack:
     def test_near_the_thresholds(self, n):
         pairs = _off_antipodes(n) + TestPlannedPath._near_threshold_pairs(n)
         _, stack = self._assert_plans_match(pairs)
-        assert set(stack.count.tolist()) == {1, 2, 3, 4}  # with and without the snap
+        assert set(stack.count.tolist()) == {1, 2, 3}  # one count per template, whether or not y = -x
 
     def test_empty_batch(self):
         z = np.zeros((0, 3), dtype=complex)
         piece, stack = _plan_stack(z, z, np.zeros(0), z, np.zeros(0))
         assert piece.size == 0 and stack.count.size == 0 and stack.angle.size == 0
 
-
-def test_planner_demo_script_runs_clean():
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, str(root / "scripts" / "planner_demo.py"), "--trials", "20"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "Traceback" not in result.stderr
-    assert "FAIL" not in result.stdout
-    assert "paths(n=3)" in result.stdout

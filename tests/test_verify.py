@@ -12,7 +12,7 @@ import pytest
 
 import paramtc.planner as planner_mod
 import paramtc.verify as verify_mod
-from paramtc.planner import BundlePoint, PlannedPath, ProjectiveRep, plan
+from paramtc.planner import BundlePoint, ProjectiveRep, plan
 from paramtc.ring import lh_power
 from paramtc.verify import (
     BASE_DRIFT_TOL,
@@ -194,25 +194,29 @@ def _scalar_check_path(path, samples):
             out.record(f"t={t:.6f}", "base-line drift", 1.0 - align)
 
     spacing = 1.0 / (samples - 1)
-    alones = [PlannedPath(path.piece, [segment], path.start, path.end) for segment in path.segments]
-    for k, alone in enumerate(alones):  # a segment alone: its global time is u
-        grid = [alone.fiber_at(i * spacing) for i in range(samples)]
+    segments = len(path.kinds)
+
+    def segment_at(k, u):
+        return path.stack.at(k, np.float64(u))
+
+    for k in range(segments):
+        grid = [segment_at(k, i * spacing) for i in range(samples)]
         for i in range(samples):
             u = i * spacing
             rates = []
             if i + 1 < samples:
                 rates.append(_rate(grid[i], grid[i + 1], spacing))
             if u + LIPSCHITZ_STEP <= 1.0:
-                rates.append(_rate(grid[i], alone.fiber_at(u + LIPSCHITZ_STEP), LIPSCHITZ_STEP))
+                rates.append(_rate(grid[i], segment_at(k, u + LIPSCHITZ_STEP), LIPSCHITZ_STEP))
             for rate in rates:
                 out.cases += 1
                 if not measure("continuity", rate) <= LIPSCHITZ_BOUND:
                     out.record(f"segment={k} u={u:.6f}", "continuity", rate)
 
     measure("junction", 0.0)
-    for k in range(1, len(alones)):
+    for k in range(1, segments):
         out.cases += 1
-        (w0, s0), (w1, s1) = alones[k - 1].fiber_at(1.0), alones[k].fiber_at(0.0)
+        (w0, s0), (w1, s1) = segment_at(k - 1, 1.0), segment_at(k, 0.0)
         gap = math.hypot(float(np.linalg.norm(w1 - w0)), s1 - s0)
         if not measure("junction", gap) <= ENDPOINT_TOL:
             out.record(f"segment={k} junction", "junction", gap)
@@ -234,34 +238,35 @@ def _assert_same_outcome(got, expected):
 
 
 def _corrupted(path, corrupt, only=None):
-    """``path`` with each segment's evaluations passed through ``corrupt(u, w, s)``.
+    """A copy of ``path`` with each segment's evaluations passed through ``corrupt(u, w, s)``.
 
-    Every segment, or only segment ``only``.  The segments only carry the
-    corruption: the ``corruptible`` fixture applies it inside the one arc
-    evaluator, so the array checker and the per-point reference both see the
-    same corrupted path.
+    Every segment, or only segment ``only``.  The copy's stored stack only
+    tags its rows with the corruption: the ``corruptible`` fixture applies it
+    inside the one arc evaluator, so the array checker and the per-point
+    reference both see the same corrupted path.
     """
-    segments = [copy.copy(segment) for segment in path.segments]
-    for k, segment in enumerate(segments):
-        if only in (None, k):
-            segment.corrupt = corrupt
-    return PlannedPath(path.piece, segments, path.start, path.end)
+    corrupted = copy.copy(path)
+    corrupted.stack = copy.copy(path.stack)
+    corrupted.stack.tags = [corrupt if only in (None, k) else None for k in range(len(path.kinds))]
+    return corrupted
+
+
+def _stacked(paths):
+    """One stack of the stored arcs of ``paths``, in order, with their rows' corruption tags."""
+    stacks = [path.stack for path in paths]
+    arrays = (np.concatenate([getattr(stack, name) for stack in stacks]) for name in ("wp", "sp", "wd", "sd", "angle"))
+    stacked = planner_mod._ArcStack(np.concatenate([stack.count for stack in stacks]), *arrays)
+    stacked.tags = [tag for stack in stacks for tag in getattr(stack, "tags", [None] * len(stack.angle))]
+    return stacked
 
 
 @pytest.fixture
 def corruptible(monkeypatch):
-    """Pass every arc evaluation of a segment through the corruption it carries, if any.
+    """Pass every arc evaluation of a row through the corruption its stack tags it with, if any.
 
-    A stack built from paths is tagged with its segments' corruptions; the
-    batched planner's stacks carry none.
+    Only stacks :func:`_corrupted` and :func:`_stacked` build carry tags.
     """
     real = planner_mod._ArcStack.at
-    real_from_paths = planner_mod._ArcStack.from_paths.__func__
-
-    def from_paths(cls, paths):
-        stack = real_from_paths(cls, paths)
-        stack.tags = [getattr(segment, "corrupt", None) for path in paths for segment in path.segments]
-        return stack
 
     def at(stack, index, u):
         w, s = real(stack, index, u)
@@ -273,7 +278,6 @@ def corruptible(monkeypatch):
         return w, s
 
     monkeypatch.setattr(planner_mod._ArcStack, "at", at)
-    monkeypatch.setattr(planner_mod._ArcStack, "from_paths", classmethod(from_paths))
 
 
 def _sign_flip(u, w, s):
@@ -394,7 +398,7 @@ class TestArrayChecker:
 
     def test_turned_middle_arc_fails_exactly_its_junctions(self):
         piece_one = self._paths()[1]
-        assert len(piece_one.segments) == 3
+        assert len(piece_one.kinds) == 3
         turned = _corrupted(piece_one, _turned, only=1)
         expected = _scalar_check_path(turned, 21)
         out = check_path(turned, samples=21)
@@ -427,7 +431,7 @@ class TestArrayChecker:
             for points in ([p.start for p in batch], [p.end for p in batch])
         ]
         z = np.stack([path.z.z for path in batch])
-        stack = planner_mod._ArcStack.from_paths(batch)
+        stack = _stacked(batch)
         got.cases = _check_paths(got, stack, z, *ends, 21, lambda p: f"path#{p} ")
         expected = VerificationOutcome("batch")
         for i, path in enumerate(batch):
