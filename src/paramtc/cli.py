@@ -47,13 +47,16 @@ from .bundle import (
 if TYPE_CHECKING:  # plan and verify import these on first use: bounds and table never load numpy
     import numpy as np
 
-    from .planner import BundlePoint
+    from .planner import BundlePoint, PlannedPath
 
 __all__ = ["execute", "main", "UsageError"]
 
 
 MAX_CONSTRUCTION_DEPTH = 64  # nested construction nodes in a descriptor
-MAX_PLAN_SAMPLES = 10_000  # points on one planned path: about 50 MB peak at the cap
+# plan --samples: points on one planned path.  At the cap, one in-process json
+# query on a piece-1 pair took 0.06 s and peaked at 48 MB for n = 2, and 1.0 s
+# and 197 MB for n = 64, on a shared 2-vCPU host.
+MAX_PLAN_SAMPLES = 10_000
 MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path; chunks hold verify.CHECK_POINTS points
 # verify --n: each path-suite chunk holds CHECK_POINTS // samples paths of n + 1
 # complex coordinates; 600 trials peaked at 41 MB for n = 2 and 106 MB for n = 64.
@@ -253,10 +256,6 @@ def _complex_vector_from_json(data, what: str) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-def _complex_vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in v]
-
-
 def _point_from_json(node, what: str) -> BundlePoint:
     from .planner import BundlePoint, ProjectiveRep
 
@@ -339,6 +338,49 @@ def _render_report(report: TCReport, fmt: str, heading: str, **params) -> str:
     return "\t".join(header) + "\n" + "\t".join(row)
 
 
+def _plan_rows(t: np.ndarray, w: np.ndarray, s: np.ndarray):
+    """Each sample as plain floats: its time, its height and its ``w`` as ``re, im, re, im, ...``."""
+    return zip(t.tolist(), s.tolist(), w.view(float).tolist())
+
+
+def _render_plan_json(
+    piece: int, kinds: tuple[str, ...], breakpoints: tuple[float, ...], t: np.ndarray, w: np.ndarray, s: np.ndarray
+) -> str:
+    """``_json_dumps`` of the plan payload, written by one fixed template.
+
+    The payload is ``{"piece", "samples": [{"s", "t", "w": [[re, im], ...]},
+    ...], "segments": [{"kind", "t0", "t1"}, ...]}``, keys sorted, two-space
+    indents.  ``%r`` of a float is the repr ``json`` writes for a finite
+    float, and the samples are checked finite before they get here.  The
+    lists it writes are never empty: two samples, one segment and one
+    coordinate at least.
+    """
+    pair = "        [\n          %r,\n          %r\n        ]"
+    sample = '    {\n      "s": %r,\n      "t": %r,\n      "w": [\n' + ",\n".join([pair] * w.shape[1])
+    sample += "\n      ]\n    }"
+    samples = ",\n".join([sample % (si, ti, *wi) for ti, si, wi in _plan_rows(t, w, s)])
+    segment = '    {\n      "kind": %s,\n      "t0": %r,\n      "t1": %r\n    }'
+    segments = ",\n".join(
+        segment % (json.dumps(kind), t0, t1) for kind, t0, t1 in zip(kinds, breakpoints, breakpoints[1:])
+    )
+    template = '{\n  "piece": %d,\n  "samples": [\n%s\n  ],\n  "segments": [\n%s\n  ]\n}'
+    return template % (piece, samples, segments)
+
+
+def _render_plan(fmt: str, path: PlannedPath, t: np.ndarray, w: np.ndarray, s: np.ndarray) -> str:
+    """A plan query's output: the path's piece and segments, then its samples ``(t, w, s)``."""
+    breaks = path.breakpoints
+    if fmt == "json":
+        return _render_plan_json(path.piece, path.kinds, breaks, t, w, s)
+    if fmt == "tsv":
+        row = "%.6f\t%.12g\t" + ";".join(["%.12g,%.12g"] * w.shape[1])
+        return "\n".join(["t\ts\tw"] + [row % (ti, si, *wi) for ti, si, wi in _plan_rows(t, w, s)])
+    row = "t=%.3f  s=%+.6f  w=(" + ", ".join(["%.6f%+.6fi"] * w.shape[1]) + ")"
+    segments = " | ".join(f"{kind} [{t0:.3f}, {t1:.3f}]" for kind, t0, t1 in zip(path.kinds, breaks, breaks[1:]))
+    lines = [f"piece: {path.piece}", f"segments: {segments}"]
+    return "\n".join(lines + [row % (ti, si, *wi) for ti, si, wi in _plan_rows(t, w, s)])
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -405,30 +447,10 @@ def _cmd_plan(args) -> int:
                 path = planner.plan_hopf(*pair, tol_anti=tol_anti)
             else:
                 path = planner.plan(*pair, tol_anti=tol_anti, tol_cell=tol_cell)
+            t, w, s = path._checked_samples(args.samples)
         except ValueError as exc:
             raise UsageError(f"cannot plan this pair: {exc}") from exc
-        samples = [
-            {"t": i / (args.samples - 1), "w": _complex_vector_to_json(p.w), "s": p.s}
-            for i, p in enumerate(path.sample(args.samples))
-        ]
-    breaks = path.breakpoints
-    segments = [{"kind": kind, "t0": breaks[i], "t1": breaks[i + 1]} for i, kind in enumerate(path.kinds)]
-
-    if args.format == "json":
-        print(_json_dumps({"piece": path.piece, "segments": segments, "samples": samples}))
-    elif args.format == "tsv":
-        lines = ["t\ts\tw"]
-        for entry in samples:
-            w = ";".join(f"{re:.12g},{im:.12g}" for re, im in entry["w"])
-            lines.append(f"{entry['t']:.6f}\t{entry['s']:.12g}\t{w}")
-        print("\n".join(lines))
-    else:
-        seg_text = " | ".join(f"{s['kind']} [{s['t0']:.3f}, {s['t1']:.3f}]" for s in segments)
-        print(f"piece: {path.piece}")
-        print(f"segments: {seg_text}")
-        for entry in samples:
-            w = ", ".join(f"{re:.6f}{im:+.6f}i" for re, im in entry["w"])
-            print(f"t={entry['t']:.3f}  s={entry['s']:+.6f}  w=({w})")
+    print(_render_plan(args.format, path, t, w, s))
     return 0
 
 

@@ -33,7 +33,8 @@ so everything is invariant under ``z -> lambda z``.
 There are two planners for this partition, and one array builder per piece
 writes the arcs for both.  :func:`plan` takes one pair of points, calls its
 piece's builder on one row and returns a :class:`PlannedPath`; ``paramtc
-plan`` answers each query with it.  ``_plan_stack`` takes many pairs as
+plan`` answers each query with it, writing its samples from the path's
+checked sample arrays.  ``_plan_stack`` takes many pairs as
 plain arrays, calls each builder on its piece's rows and writes them into
 one ``_ArcStack``; the path suite plans with it.  Both classify by the same
 comparisons and evaluate with the same ``_ArcStack``.  The one-pair planner
@@ -43,8 +44,9 @@ are what ``paramtc plan`` runs.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -206,14 +208,12 @@ class BundlePoint:
     def _from_rows(cls, reps: Sequence[ProjectiveRep], w: np.ndarray, s: np.ndarray) -> list["BundlePoint"]:
         """The points ``(reps[i], w[i], s[i])``, the constructor's checks run on the whole arrays.
 
-        The same finiteness, line and norm checks with the same tolerances.
-        If any row fails, every row goes through the constructor, whose error
-        names the first bad one.  Otherwise ``w`` becomes read-only and each
-        point holds a row of it.
+        The constructor's checks with its tolerances, run by
+        :func:`_check_points`.  ``w`` becomes read-only and each point holds a
+        row of it.
         """
         z = np.array([rep.z for rep in reps]).reshape(w.shape)  # (0, n + 1) for no rows too
-        if not _valid_points(z, w, s).all():
-            return [cls(rep, wi, si) for rep, wi, si in zip(reps, w, s)]
+        _check_points(reps, z, w, s)
         w.setflags(write=False)
         return [cls._trusted(rep, wi, si) for rep, wi, si in zip(reps, w, s.tolist())]
 
@@ -264,6 +264,19 @@ def _valid_points(z: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
         valid = np.isfinite(w).all(axis=-1) & np.isfinite(s) & (residual <= _UNIT_TOL)
         valid &= np.abs(norm2 - 1.0) <= _UNIT_TOL
     return valid
+
+
+def _check_points(reps: Iterable[ProjectiveRep], z: np.ndarray, w: np.ndarray, s: np.ndarray) -> None:
+    """Raise as the :class:`BundlePoint` constructor does if a row ``(reps[i], w[i], s[i])`` fails its checks.
+
+    ``z`` holds the representatives' vectors, one row each or one row for
+    all.  :func:`_valid_points` checks the whole arrays once; only if a row
+    fails does every row go through the constructor, whose error names the
+    first bad one.
+    """
+    if not _valid_points(z, w, s).all():
+        for rep, wi, si in zip(reps, w, s):
+            BundlePoint(rep, wi, si)
 
 
 def _require_same_fiber(x: BundlePoint, y: BundlePoint) -> None:
@@ -501,13 +514,31 @@ class PlannedPath:
         w, s = self.stack.paths_at(t)
         return w[0], s[0]
 
-    def sample(self, count: int) -> list[BundlePoint]:
-        """Evaluate at ``count`` uniformly spaced times including both ends, as points checked once."""
+    def _checked_samples(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The times ``t[i] = i / (count - 1)`` and the path's ``w`` and ``s`` there, checked once.
+
+        The arrays pass the :class:`BundlePoint` constructor's checks, or the
+        constructor's ``ValueError`` for the first bad sample is raised.
+        ``paramtc plan`` writes its output from them, and :meth:`sample` wraps
+        them as points.
+        """
         if count < 2:
             raise ValueError("need at least two samples")
         t = np.arange(count) / (count - 1)
         w, s = self.fiber_at(t)
-        return BundlePoint._from_rows([self.z] * t.size, w, s)
+        _check_points(itertools.repeat(self.z), self.z.z[np.newaxis], w, s)
+        return t, w, s
+
+    def sample(self, count: int) -> list[BundlePoint]:
+        """Evaluate at ``count`` uniformly spaced times including both ends, as points checked once.
+
+        The points of :meth:`_checked_samples`, each holding a row of its ``w``.
+        ``paramtc plan`` samples through :meth:`_checked_samples` too, and
+        writes its output from the arrays without building points.
+        """
+        _, w, s = self._checked_samples(count)
+        w.setflags(write=False)
+        return [BundlePoint._trusted(self.z, wi, si) for wi, si in zip(w, s.tolist())]
 
     def __repr__(self) -> str:
         return f"PlannedPath(piece={self.piece}, segments=[{', '.join(self.kinds)}])"

@@ -7,6 +7,7 @@ agreement with the engine is independent evidence.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -123,3 +124,40 @@ def masked_fiber_at(path: PlannedPath, t):
         w[on] = np.multiply.outer(c, wp) + np.multiply.outer(sin, wd)
         s[on] = c * sp + sin * sd
     return w, s[()]
+
+
+def plan_json(piece: int, kinds, breakpoints, samples: list[dict]) -> str:
+    """The plan payload as ``json.dumps(..., sort_keys=True, indent=2)`` writes it.
+
+    ``samples`` holds dicts of ``t``, ``s`` and ``w``, a list of ``[re, im]``.
+    """
+    segments = [{"kind": kind, "t0": breakpoints[i], "t1": breakpoints[i + 1]} for i, kind in enumerate(kinds)]
+    return json.dumps({"piece": piece, "segments": segments, "samples": samples}, sort_keys=True, indent=2)
+
+
+def render_plan(path: PlannedPath, count: int, fmt: str) -> str:
+    """``paramtc plan``'s stdout for ``path`` at ``count`` samples, built as a payload of points.
+
+    The samples are ``path.sample(count)`` at the times ``i / (count - 1)``,
+    each turned into a dict of lists; json is :func:`plan_json` of the whole
+    payload, tsv and human one line per sample.
+    """
+    samples = [
+        {"t": i / (count - 1), "w": [[float(c.real), float(c.imag)] for c in p.w], "s": p.s}
+        for i, p in enumerate(path.sample(count))
+    ]
+    if fmt == "json":
+        return plan_json(path.piece, path.kinds, path.breakpoints, samples) + "\n"
+    if fmt == "tsv":
+        lines = ["t\ts\tw"]
+        for entry in samples:
+            w = ";".join(f"{re:.12g},{im:.12g}" for re, im in entry["w"])
+            lines.append(f"{entry['t']:.6f}\t{entry['s']:.12g}\t{w}")
+        return "\n".join(lines) + "\n"
+    breaks = path.breakpoints
+    seg_text = " | ".join(f"{kind} [{breaks[i]:.3f}, {breaks[i + 1]:.3f}]" for i, kind in enumerate(path.kinds))
+    lines = [f"piece: {path.piece}", f"segments: {seg_text}"]
+    for entry in samples:
+        w = ", ".join(f"{re:.6f}{im:+.6f}i" for re, im in entry["w"])
+        lines.append(f"t={entry['t']:.3f}  s={entry['s']:+.6f}  w=({w})")
+    return "\n".join(lines) + "\n"

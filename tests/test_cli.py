@@ -14,7 +14,7 @@ import pytest
 
 from paramtc.bounds import NOTE_STRONGER, TCReport
 from paramtc.cli import UsageError, execute, load_descriptor
-from paramtc.planner import plan, plan_hopf
+from paramtc.planner import PlannedPath, plan, plan_hopf
 from paramtc.verify import VerificationOutcome
 import paramtc.cli as cli_mod
 import paramtc.verify
@@ -386,6 +386,19 @@ class TestPlan:
         payload = json.loads(out)
         segments = [(seg["kind"], seg["t0"], seg["t1"]) for seg in payload["segments"]]
         assert (payload["piece"], segments) == PLAN_SEGMENTS[kind]
+
+    def test_a_failing_sample_exits_1(self, capsys, monkeypatch):
+        fiber_at = PlannedPath.fiber_at
+
+        def nan_height(path, t):
+            w, s = fiber_at(path, t)
+            s[1] = math.nan
+            return w, s
+
+        monkeypatch.setattr(PlannedPath, "fiber_at", nan_height)
+        code, out, err = run(capsys, "plan", "--pair", _pair_json(), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot plan this pair: s must be finite, got nan\n"
 
     def test_hopf_accepts_tol_anti_zero(self, capsys):
         _, pair, _ = PLAN_TSV_SAMPLES_5["hopf"]
