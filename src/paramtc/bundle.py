@@ -18,7 +18,6 @@ the ring's top degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .ring import (
     Coefficients,
@@ -70,8 +69,9 @@ class BaseSpace:
     def dimension(self) -> int:
         return self.ring.top_degree()
 
-    @cached_property  # built once per base; fields, equality and hashing do not see it
+    @property
     def mod2_ring(self) -> RingDescriptor:
+        """The ring's one mod-2 shadow, the ring that ``mod2_reduce`` lands in."""
         return self.ring.mod2_shadow()
 
 
@@ -117,14 +117,15 @@ class BundleDescriptor:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.euler is not None:
-            if self.euler.ring != self.base.ring:
+            if self.euler.ring is not self.base.ring and self.euler.ring != self.base.ring:
                 raise ValueError("Euler class must live in the base ring")
             d = self.euler.homogeneous_degree()
             if d is not None and d != self.rank:
                 raise ValueError(f"Euler class degree {d} != rank {self.rank}")
-        if self.sw_total.ring != self.base.mod2_ring:
+        mod2_ring = self.base.mod2_ring
+        if self.sw_total.ring is not mod2_ring and self.sw_total.ring != mod2_ring:
             raise ValueError("total SW class must live in the mod-2 base ring")
-        if self.sw_total.homogeneous_part(0) != self.base.mod2_ring.one():
+        if self.sw_total.homogeneous_part(0) != mod2_ring.one():
             raise ValueError("total SW class must have degree-0 part equal to 1")
         if self.trivial_summands < 0 or self.independent_sections < 0:
             raise ValueError("structure counts must be non-negative")
@@ -227,7 +228,7 @@ def whitney_sum(a: BundleDescriptor, b: BundleDescriptor) -> BundleDescriptor:
     orientable (two non-orientable summands may have an orientable sum, but
     no Euler class is available for it at the descriptor level).
     """
-    if a.base != b.base:
+    if a.base is not b.base and a.base != b.base:
         raise ValueError("Whitney sum requires a common base space")
     return BundleDescriptor(
         base=a.base,

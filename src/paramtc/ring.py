@@ -18,17 +18,25 @@ back from the base, and multiplication is closed by the single relation
 
 where ``e`` is the Euler class of the bundle of vectors orthogonal to the
 section.  The module owns ``e`` and ``deg U`` and checks them once; each
-element (:class:`LHElement`) belongs to one module.  Powers and heights run
-one loop each, shared by ring and module.  A height costs O(log h) products:
-nilpotence is monotone (``a^k == 0`` implies ``a^(k+1) == 0``) and degrees
-are capped by the top degree, so repeated squaring and a greedy descent
-find it as exponentiation by squaring finds a power.  All values are
-immutable; all operations are pure functions.
+element (:class:`LHElement`) belongs to one module.
+
+Inputs are checked once, where they enter: the public constructors
+(``RingElement(ring, terms)``, :meth:`RingDescriptor.element`,
+:class:`LHModule`, :class:`LHElement`) check types, signs, ranges and
+rings.  Arithmetic on elements that passed them builds its canonical
+result directly, and rings and modules are compared by identity before
+equality, so equal rings built apart still combine.  In the ring a nonzero
+homogeneous class ``c * x^k`` survives until the degree cap, so its height
+is a closed form; in the module ``U * U`` can vanish early, so
+:func:`lh_height` finds the height in O(log h) products by repeated
+squaring and a greedy descent, as exponentiation by squaring finds a power
+(nilpotence is monotone: ``a^k == 0`` implies ``a^(k+1) == 0``).  All
+values are immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import index
 from typing import Mapping
@@ -90,11 +98,16 @@ class RingDescriptor:
     """Z[x]/(x^t) with deg x = 2, or its mod-2 shadow.
 
     ``generators`` holds one generator of degree 2, whose truncation is t,
-    or none: the ring of a point, Z itself, where t = 1.
+    or none: the ring of a point, Z itself, where t = 1.  ``truncation``,
+    the smallest power of x that vanishes (``x^truncation == 0``), is
+    computed once, here; it and the stored mod-2 shadow take no part in
+    equality, hashing or ``repr``.
     """
 
     generators: tuple[Generator, ...]
     coefficients: Coefficients = Coefficients.INTEGER
+    truncation: int = field(init=False, repr=False, compare=False)
+    _shadow: "RingDescriptor | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.generators) > 1:
@@ -104,11 +117,7 @@ class RingDescriptor:
                 raise ValueError(f"generator {g.name!r} must have degree 2, not {g.degree!r}")
             if type(g.truncation) is not int or g.truncation < 1:
                 raise ValueError(f"generator {g.name!r} must have an int truncation >= 1")
-
-    @property
-    def truncation(self) -> int:
-        """The smallest power of x that vanishes: ``x^truncation == 0``."""
-        return self.generators[0].truncation if self.generators else 1
+        object.__setattr__(self, "truncation", self.generators[0].truncation if self.generators else 1)
 
     # -- element factories -------------------------------------------------
 
@@ -116,10 +125,10 @@ class RingDescriptor:
         return RingElement(self, terms)
 
     def zero(self) -> "RingElement":
-        return RingElement(self, {})
+        return RingElement._canonical(self, {})
 
     def one(self) -> "RingElement":
-        return self.scalar(1)
+        return RingElement._canonical(self, {0: 1})
 
     def scalar(self, c: int) -> "RingElement":
         return RingElement(self, {0: c})
@@ -130,8 +139,17 @@ class RingDescriptor:
         return RingElement(self, {1: 1})
 
     def mod2_shadow(self) -> "RingDescriptor":
-        """Same generator and truncation, coefficients reduced to Z/2."""
-        return RingDescriptor(self.generators, Coefficients.MOD2)
+        """Same generator and truncation, coefficients reduced to Z/2.
+
+        Built on the first call and stored, so classes reduced from this
+        ring and classes built in its shadow share one ring object and pass
+        the identity check.  A mod-2 ring is its own shadow.
+        """
+        if self.coefficients is Coefficients.MOD2:
+            return self
+        if self._shadow is None:
+            object.__setattr__(self, "_shadow", RingDescriptor(self.generators, Coefficients.MOD2))
+        return self._shadow
 
     def top_degree(self) -> int:
         """Largest degree in which a nonzero element can live."""
@@ -175,6 +193,24 @@ class RingElement:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", canon)
 
+    @classmethod
+    def _canonical(cls, ring: RingDescriptor, terms: dict[int, int]) -> "RingElement":
+        """The element of ``terms``, whose keys are powers in [0, t) and whose coefficients are ints.
+
+        Arithmetic on checked elements builds its results here: ``terms`` is
+        canonical except for zero coefficients and, over Z/2, coefficients
+        other than 1, so this drops the zeros, reduces mod 2 and checks
+        nothing.  Data from outside goes through ``RingElement(ring, terms)``.
+        """
+        if ring.coefficients is Coefficients.MOD2:
+            terms = {k: 1 for k, c in terms.items() if c % 2}
+        else:
+            terms = {k: c for k, c in terms.items() if c}
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("RingElement is immutable")
 
@@ -197,12 +233,12 @@ class RingElement:
         return degs.pop()
 
     def homogeneous_part(self, degree: int) -> "RingElement":
-        return RingElement(self.ring, {k: c for k, c in self.terms.items() if 2 * k == degree})
+        return RingElement._canonical(self.ring, {k: c for k, c in self.terms.items() if 2 * k == degree})
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "RingElement") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"mismatched rings: {self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other: "RingElement") -> "RingElement":
@@ -210,17 +246,17 @@ class RingElement:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return RingElement(self.ring, out)
+        return RingElement._canonical(self.ring, out)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, {k: -c for k, c in self.terms.items()})
+        return RingElement._canonical(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElement(self.ring, {k: c * other for k, c in self.terms.items()})
+            return RingElement._canonical(self.ring, {k: c * other for k, c in self.terms.items()})
         if isinstance(other, RingElement):
             return cup(self, other)
         return NotImplemented
@@ -232,7 +268,7 @@ class RingElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
@@ -264,7 +300,7 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
             k = ka + kb
             if k < t:
                 out[k] = out.get(k, 0) + ca * cb
-    return RingElement(a.ring, out)
+    return RingElement._canonical(a.ring, out)
 
 
 def _power(one, a, k: int, multiply):
@@ -280,7 +316,8 @@ def _power(one, a, k: int, multiply):
 def _height(a, multiply, top: int) -> int:
     """Largest k with ``a^k != 0``, by squaring and a greedy descent.
 
-    The one height loop, shared by :func:`height` and :func:`lh_height`.
+    The height loop of :func:`lh_height`.  It needs only that nilpotence
+    is monotone under ``multiply``, so it serves ring classes as well.
     ``top`` is the largest degree of a nonzero element, so ``a^k == 0``
     once ``k * deg a > top``.  Nilpotence is monotone (``a^k == 0`` implies
     ``a^(k+1) == 0``), so the powers that survive are exactly ``a^1 ... a^h``
@@ -289,9 +326,8 @@ def _height(a, multiply, top: int) -> int:
     the lower bits, keeping a stored square in the accumulator whenever the
     product survives.  This costs at most ``2 * h.bit_length()`` products
     instead of ``h`` (exponentiation by squaring, Knuth, TAOCP vol. 2,
-    section 4.6.3).  In the ring a nonzero homogeneous ``c * x^k`` survives
-    until the degree cap, over Z and over Z/2 alike; the zero check serves
-    the module, where with ``e = 0`` already ``U * U == 0`` below ``top``.
+    section 4.6.3).  The zero check is what the module needs: with ``e = 0``
+    already ``U * U == 0`` below ``top``.
     """
     if a.is_zero:
         return 0
@@ -323,17 +359,24 @@ def height(a: RingElement) -> int:
 
     Defined only for homogeneous classes of positive degree (or zero); well
     defined because the ring is truncated, so powers eventually overshoot
-    the top degree.  Costs O(log h) products: repeated squares up to the top
-    degree, then a greedy descent (see :func:`_height`).
+    the top degree.  A nonzero homogeneous class of degree d is ``c * x^k``
+    with ``c != 0`` (``c = 1`` over Z/2), and ``(c * x^k)^m = c^m * x^(km)``
+    never loses its coefficient, over Z or over Z/2; so it survives until
+    the degree cap and its height is ``top_degree // d``, with no product.
     """
-    return _height(a, cup, a.ring.top_degree())
+    if a.is_zero:
+        return 0
+    d = a.homogeneous_degree()
+    if d <= 0:
+        raise HomogeneityError("height requires positive degree")
+    return a.ring.top_degree() // d
 
 
 def mod2_reduce(a: RingElement) -> RingElement:
     """Reduce an integral class mod 2; a ring homomorphism onto the shadow ring."""
     if a.ring.coefficients is not Coefficients.INTEGER:
         raise CoefficientDomainError("mod-2 reduction expects integer coefficients")
-    return RingElement(a.ring.mod2_shadow(), dict(a.terms))
+    return RingElement._canonical(a.ring.mod2_shadow(), a.terms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,8 +394,10 @@ class LHElement:
     fiber: RingElement
 
     def __post_init__(self) -> None:
-        if self.base.ring != self.module.ring or self.fiber.ring != self.module.ring:
-            raise RingMismatchError("base and fiber must live in the module's ring")
+        ring = self.module.ring
+        for part in (self.base.ring, self.fiber.ring):
+            if part is not ring and part != ring:
+                raise RingMismatchError("base and fiber must live in the module's ring")
 
     @property
     def is_zero(self) -> bool:
@@ -375,7 +420,7 @@ class LHElement:
         return db
 
     def _check_compatible(self, other: "LHElement") -> None:
-        if self.module != other.module:
+        if self.module is not other.module and self.module != other.module:
             raise RingMismatchError("operands live in different rank-two modules")
 
     def __add__(self, other: "LHElement") -> "LHElement":

@@ -52,11 +52,22 @@ class TestBaseSpace:
 
     def test_mod2_ring_is_built_once(self):
         for base in (cpn(0), cpn(4), point()):
-            assert base.mod2_ring is base.mod2_ring
-            assert base.mod2_ring == base.ring.mod2_shadow()
+            assert base.mod2_ring is base.mod2_ring is base.ring.mod2_shadow()
+            assert mod2_reduce(base.ring.one()).ring is base.mod2_ring
         a, b = cpn(3), cpn(3)
-        a.mod2_ring  # cached on a, not yet on b
+        a.mod2_ring  # stored on a's ring, not yet on b's
         assert a == b and hash(a) == hash(b)
+        assert a.mod2_ring == b.mod2_ring and repr(a.mod2_ring) == repr(b.mod2_ring)
+
+    def test_sw_class_in_a_foreign_ring_refused(self):
+        base = cpn(3)
+        for foreign in (cpn(4).mod2_ring, base.ring):
+            with pytest.raises(ValueError, match="mod-2 base ring"):
+                BundleDescriptor(base=base, rank=1, euler=None, sw_total=foreign.one())
+        # the shadow of an equal ring built apart is the same ring, so it is accepted
+        apart = cpn(3).mod2_ring
+        assert apart is not base.mod2_ring
+        assert BundleDescriptor(base=base, rank=1, euler=None, sw_total=apart.one()).sw_total.ring is apart
 
 
 class TestWhitneySum:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from paramtc.ring import (
     LHElement,
     LHModule,
     RingDescriptor,
+    RingElement,
     RingMismatchError,
     cup,
     height,
@@ -62,6 +64,46 @@ class TestCup:
         b = cpn_ring(3).generator("x")
         with pytest.raises(RingMismatchError):
             cup(a, b)
+
+
+class TestRingsBuiltApart:
+    """Rings and modules are compared by identity first, then by value."""
+
+    def test_equal_rings_combine(self):
+        r, s = cpn(3).ring, cpn(3).ring
+        assert r is not s and r == s
+        x, y = r.generator("x"), s.generator("x")
+        assert cup(x, y) == r.element({2: 1})
+        assert x + y == r.element({1: 2})
+        assert (x - y).is_zero
+        m, n = LHModule(r, x, 2), LHModule(s, y, 2)
+        assert m is not n and m == n
+        assert lh_multiply(m.u(), n.u()) == m.from_fiber(x)
+        assert LHElement(m, y, s.one()) == n.element(x, r.one())
+
+    @pytest.mark.parametrize(
+        "other", [lambda: cpn(4).ring, lambda: cpn(3).ring.mod2_shadow()], ids=["CP4", "Z/2"]
+    )
+    def test_unequal_rings_refused(self, other):
+        r, s = cpn(3).ring, other()
+        x, y = r.generator("x"), s.generator("x")
+        for op in (cup, operator.add, operator.sub):
+            with pytest.raises(RingMismatchError):
+                op(x, y)
+        m, n = LHModule(r, x, 2), LHModule(s, y, 2)
+        with pytest.raises(RingMismatchError):
+            lh_multiply(m.u(), n.u())
+        with pytest.raises(RingMismatchError):
+            LHElement(m, y, r.zero())
+        with pytest.raises(RingMismatchError):
+            LHElement(m, r.zero(), y)
+
+    def test_mod2_shadow_is_one_object(self):
+        r = cpn(3).ring
+        shadow = r.mod2_shadow()
+        assert shadow is r.mod2_shadow() and shadow.mod2_shadow() is shadow
+        assert shadow == cpn(3).ring.mod2_shadow() and repr(shadow) == "Z/2[x(deg 2)^4=0]"
+        assert mod2_reduce(r.generator("x")).ring is shadow
 
 
 class TestConstruction:
@@ -374,6 +416,53 @@ def test_cup_and_sum_match_the_dense_reference(t, mod2, point_ring, data):
     assert dense(left + right) == dense_sum(a, b, mod2)
 
 
+@st.composite
+def sparse_operands(draw):
+    """A ring over Z or Z/2, two sparse term dicts and an int.
+
+    Powers lean to the top one, t - 1; coefficients include even ones; the
+    second dict repeats or negates some terms of the first, so sums and
+    differences cancel to zero.
+    """
+    t = draw(st.integers(1, 8))
+    ring = cpn_ring(t - 1)
+    if draw(st.booleans()):
+        ring = ring.mod2_shadow()
+    powers = st.one_of(st.just(t - 1), st.integers(0, t - 1))
+    coeffs = st.integers(-6, 6)
+    a = draw(st.dictionaries(powers, coeffs, max_size=4))
+    b = draw(st.dictionaries(powers, coeffs, max_size=4))
+    for k in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else []:
+        b[k] = draw(st.sampled_from((-1, 1))) * a[k]
+    return ring, a, b, draw(st.integers(-4, 4))
+
+
+@given(sparse_operands())
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_builds_the_canonical_form(operands):
+    ring, a, b, c = operands
+    t, mod2 = ring.truncation, ring.coefficients is Coefficients.MOD2
+    left, right = RingElement(ring, a), RingElement(ring, b)
+    dense_a, dense_b = [a.get(k, 0) for k in range(t)], [b.get(k, 0) for k in range(t)]
+
+    def scalar(s: int) -> list[int]:
+        return [s] + [0] * (t - 1)
+
+    cases = [
+        (cup(left, right), dense_product(dense_a, dense_b, mod2)),
+        (left + right, dense_sum(dense_a, dense_b, mod2)),
+        (left - right, dense_sum(dense_a, [-x for x in dense_b], mod2)),
+        (-left, dense_product(dense_a, scalar(-1), mod2)),
+        (left * c, dense_product(dense_a, scalar(c), mod2)),
+        (c * left, dense_product(dense_a, scalar(c), mod2)),
+    ]
+    for result, dense in cases:
+        assert result == RingElement(ring, dict(enumerate(dense)))
+        assert all(result.terms.values())
+        if mod2:
+            assert set(result.terms.values()) <= {1}
+
+
 @given(st.integers(1, 6), st.integers(1, 3), st.integers(-3, 3))
 @settings(max_examples=80, deadline=None)
 def test_height_characterisation(n, exp, coeff):
@@ -444,10 +533,12 @@ class TestHeightAtBitBoundaries:
 
     @pytest.mark.parametrize("n", BIT_BOUNDARIES)
     def test_ring_powers_of_x(self, n):
+        # the closed form against the linear reference and the squaring loop, for c * x^k
         for ring in (cpn_ring(n), cpn_ring(n).mod2_shadow()):
-            for k in (1, 2, 3):
-                a = ring.element({k: 1})
-                assert height(a) == n // k == _repeated_product_count(a, cup)
+            for k, c in itertools.product((1, 2, 3), range(-4, 5)):
+                a = ring.element({k: c})
+                h = 0 if a.is_zero else n // k
+                assert height(a) == h == _repeated_product_count(a, cup) == _height(a, cup, ring.top_degree())
 
     @pytest.mark.parametrize("n", BIT_BOUNDARIES)
     def test_kernel_generator(self, n):

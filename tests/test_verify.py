@@ -153,6 +153,11 @@ class TestRewriteOracle:
         assert out.passed
         assert out.cases > 0
 
+    def test_suite_runs_clean_at_n_max_16(self):
+        out = check_lh_oracle(n_max=16)
+        assert out.passed, out.failures[:3]
+        assert out.cases > 0
+
 
 def _rate(a, b, step):
     (w0, s0), (w1, s1) = a, b
@@ -593,6 +598,11 @@ class TestCheckBoundsTables:
         out = check_bounds_tables(8)
         assert out.passed
         assert out.cases == 8 * 8 + 8 + 8
+
+    def test_full_table_passes_at_n_max_32(self):
+        out = check_bounds_tables(32)
+        assert out.passed, out.failures[:3]
+        assert out.cases == 32 * 32 + 32 + 32
 
     def test_missing_note_is_a_recorded_failure(self, monkeypatch):
         real = verify_mod.family_table
