@@ -11,7 +11,13 @@ early), 2 on verification failure.  ``--samples`` is capped at
 
 ``bounds`` and ``table`` run on the ring and bound layers alone; only
 ``plan`` and ``verify`` import the planner, the suites and numpy.  The
-parser is built once per process and shared by every :func:`execute` call.
+parser is built once per process and shared by every :func:`execute` call;
+an argv whose first word is a command goes straight to that command's
+subparser, which is where the top-level parser would hand it.  Bound
+reports and plans are written as JSON by fixed templates, byte-identical to
+``json.dumps(..., sort_keys=True, indent=2)``, and a plan's samples are
+written in slices of ``PLAN_SLICE``, so its memory does not grow with the
+size of its text.
 
 Descriptor files are JSON documents with keys ``base`` (family plus
 parameter), ``construction`` (a tree of sum / canonical / trivial nodes)
@@ -53,10 +59,13 @@ __all__ = ["execute", "main", "UsageError"]
 
 
 MAX_CONSTRUCTION_DEPTH = 64  # nested construction nodes in a descriptor
-# plan --samples: points on one planned path.  At the cap, one in-process json
-# query on a piece-1 pair took 0.06 s and peaked at 48 MB for n = 2, and 1.0 s
-# and 197 MB for n = 64, on a shared 2-vCPU host.
+# plan --samples: points on one planned path.  At the cap, one in-process query
+# on a piece-1 pair, stdout to /dev/null, peaked at 40 MB for n = 2 (json, 0.06 s)
+# and at 68 MB for n = 64 in every format (json 0.9 s), from 35 MB before it,
+# on a shared 2-vCPU host: the sample arrays, as the text goes out PLAN_SLICE
+# samples at a time (writing it whole peaked at 217 MB in json, 120 in tsv).
 MAX_PLAN_SAMPLES = 10_000
+PLAN_SLICE = 256
 MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path; chunks hold verify.CHECK_POINTS points
 # verify --n: each path-suite chunk holds CHECK_POINTS // samples paths of n + 1
 # complex coordinates; 600 trials peaked at 41 MB for n = 2 and 106 MB for n = 64.
@@ -74,6 +83,8 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the top-level parser's subparsers by name, set by _build_parser
+
     def error(self, message):  # argparse would exit 2; usage errors are exit 1
         raise UsageError(message)
 
@@ -82,6 +93,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="paramtc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_bounds = sub.add_parser("bounds", help="compute a bound report")
     p_bounds.set_defaults(run=_cmd_bounds)
@@ -248,6 +260,14 @@ def _complex_vector_from_json(data, what: str) -> np.ndarray:
 
     if not isinstance(data, list) or not data:
         raise UsageError(f"{what} must be a non-empty list of [re, im] pairs")
+    try:  # well-typed [re, im] pairs in one conversion; anything else is refused entry by entry below
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    # the shape makes every entry a sequence of two; the types keep out booleans, strings and None
+    if pairs is not None and pairs.shape == (len(data), 2):
+        if {type(v) for entry in data for v in entry} <= {int, float}:
+            return pairs.view(complex)[:, 0]
     out = []
     for entry in data:
         if not isinstance(entry, list) or len(entry) != 2:
@@ -284,8 +304,9 @@ def _load_pair(source: str, family: str, n: int | None):
             raise UsageError("hopf pairs need fields z and z2")
         z = _complex_vector_from_json(doc["z"], "pair.z")
         z2 = _complex_vector_from_json(doc["z2"], "pair.z2")
-        if n is not None and z.size != n + 1:
-            raise UsageError(f"expected vectors in C^{n + 1}, got C^{z.size}")
+        for v in (z, z2) if n is not None else ():
+            if v.size != n + 1:
+                raise UsageError(f"expected vectors in C^{n + 1}, got C^{v.size}")
         return z, z2
     _reject_unknown(doc, {"x", "y"}, "pair")
     if "x" not in doc or "y" not in doc:
@@ -302,6 +323,10 @@ def _load_pair(source: str, family: str, n: int | None):
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+# a string as JSON: the escaper json.dumps itself uses with ensure_ascii, for the fixed templates
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _format_bound(value: int | None) -> str:
@@ -322,11 +347,45 @@ def _render_report_human(report: TCReport, heading: str) -> str:
     return "\n".join(lines)
 
 
+_PROVENANCE_ENTRY = '      {\n        "citation": %s,\n        "detail": %s,\n        "rule": %s\n      }'
+_REPORT = (
+    '{\n    "exact": %s,\n    "lower": %d,\n    "notes": %s,\n    "provenance": %s,\n'
+    '    "quantity": %s,\n    "upper": %s\n  }'
+)
+
+
+def _report_list(items: list[str]) -> str:
+    """A list-valued key of the report, its items written already: ``[]`` when empty."""
+    return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
+
+
+def _render_report_json(report: TCReport, params: dict[str, str | int]) -> str:
+    """``_json_dumps({"report": report.to_dict(), **params})``, written by one fixed template.
+
+    The report's shape is fixed: ``exact``, ``lower``, ``notes``,
+    ``provenance`` (entries of ``citation``, ``detail`` and ``rule``),
+    ``quantity`` and ``upper``.  Strings go through :data:`_quote`; the
+    params are strings and integers.
+    """
+    notes = [f"      {_quote(note)}" for note in report.notes]
+    provenance = [_PROVENANCE_ENTRY % (_quote(p.citation), _quote(p.detail), _quote(p.rule)) for p in report.provenance]
+    fields = {key: _quote(value) if isinstance(value, str) else "%d" % value for key, value in params.items()}
+    fields["report"] = _REPORT % (
+        "true" if report.exact else "false",
+        report.lower,
+        _report_list(notes),
+        _report_list(provenance),
+        _quote(report.quantity.value),
+        "null" if report.upper is None else "%d" % report.upper,
+    )
+    return "{\n" + ",\n".join(f"  {_quote(key)}: {fields[key]}" for key in sorted(fields)) + "\n}"
+
+
 def _render_report(report: TCReport, fmt: str, heading: str, **params) -> str:
     if fmt == "human":
         return _render_report_human(report, heading)
     if fmt == "json":
-        return _json_dumps({"report": report.to_dict(), **params})
+        return _render_report_json(report, params)
     # tsv: one header row, one data row
     keys = sorted(params)
     header = keys + ["lower", "upper", "exact"]
@@ -338,15 +397,20 @@ def _render_report(report: TCReport, fmt: str, heading: str, **params) -> str:
     return "\t".join(header) + "\n" + "\t".join(row)
 
 
-def _plan_rows(t: np.ndarray, w: np.ndarray, s: np.ndarray):
-    """Each sample as plain floats: its time, its height and its ``w`` as ``re, im, re, im, ...``."""
-    return zip(t.tolist(), s.tolist(), w.view(float).tolist())
+def _plan_slices(t: np.ndarray, w: np.ndarray, s: np.ndarray):
+    """The samples in slices of at most ``PLAN_SLICE``, each sample as plain floats.
+
+    A sample is its time, its height and its ``w`` as ``re, im, re, im, ...``.
+    """
+    for i in range(0, len(t), PLAN_SLICE):
+        j = i + PLAN_SLICE
+        yield zip(t[i:j].tolist(), s[i:j].tolist(), w[i:j].view(float).tolist())
 
 
 def _render_plan_json(
     piece: int, kinds: tuple[str, ...], breakpoints: tuple[float, ...], t: np.ndarray, w: np.ndarray, s: np.ndarray
-) -> str:
-    """``_json_dumps`` of the plan payload, written by one fixed template.
+):
+    """``_json_dumps`` of the plan payload, written by one fixed template and yielded in slices.
 
     The payload is ``{"piece", "samples": [{"s", "t", "w": [[re, im], ...]},
     ...], "segments": [{"kind", "t0", "t1"}, ...]}``, keys sorted, two-space
@@ -358,27 +422,33 @@ def _render_plan_json(
     pair = "        [\n          %r,\n          %r\n        ]"
     sample = '    {\n      "s": %r,\n      "t": %r,\n      "w": [\n' + ",\n".join([pair] * w.shape[1])
     sample += "\n      ]\n    }"
-    samples = ",\n".join([sample % (si, ti, *wi) for ti, si, wi in _plan_rows(t, w, s)])
     segment = '    {\n      "kind": %s,\n      "t0": %r,\n      "t1": %r\n    }'
     segments = ",\n".join(
-        segment % (json.dumps(kind), t0, t1) for kind, t0, t1 in zip(kinds, breakpoints, breakpoints[1:])
+        segment % (_quote(kind), t0, t1) for kind, t0, t1 in zip(kinds, breakpoints, breakpoints[1:])
     )
-    template = '{\n  "piece": %d,\n  "samples": [\n%s\n  ],\n  "segments": [\n%s\n  ]\n}'
-    return template % (piece, samples, segments)
+    yield '{\n  "piece": %d,\n  "samples": [\n' % piece
+    separator = ""
+    for rows in _plan_slices(t, w, s):
+        yield separator + ",\n".join([sample % (si, ti, *wi) for ti, si, wi in rows])
+        separator = ",\n"
+    yield '\n  ],\n  "segments": [\n%s\n  ]\n}' % segments
 
 
-def _render_plan(fmt: str, path: PlannedPath, t: np.ndarray, w: np.ndarray, s: np.ndarray) -> str:
-    """A plan query's output: the path's piece and segments, then its samples ``(t, w, s)``."""
+def _render_plan(fmt: str, path: PlannedPath, t: np.ndarray, w: np.ndarray, s: np.ndarray):
+    """A plan query's output in slices: the path's piece and segments, then its samples ``(t, w, s)``."""
     breaks = path.breakpoints
     if fmt == "json":
-        return _render_plan_json(path.piece, path.kinds, breaks, t, w, s)
+        yield from _render_plan_json(path.piece, path.kinds, breaks, t, w, s)
+        return
     if fmt == "tsv":
         row = "%.6f\t%.12g\t" + ";".join(["%.12g,%.12g"] * w.shape[1])
-        return "\n".join(["t\ts\tw"] + [row % (ti, si, *wi) for ti, si, wi in _plan_rows(t, w, s)])
-    row = "t=%.3f  s=%+.6f  w=(" + ", ".join(["%.6f%+.6fi"] * w.shape[1]) + ")"
-    segments = " | ".join(f"{kind} [{t0:.3f}, {t1:.3f}]" for kind, t0, t1 in zip(path.kinds, breaks, breaks[1:]))
-    lines = [f"piece: {path.piece}", f"segments: {segments}"]
-    return "\n".join(lines + [row % (ti, si, *wi) for ti, si, wi in _plan_rows(t, w, s)])
+        yield "t\ts\tw"
+    else:
+        row = "t=%.3f  s=%+.6f  w=(" + ", ".join(["%.6f%+.6fi"] * w.shape[1]) + ")"
+        segments = " | ".join(f"{kind} [{t0:.3f}, {t1:.3f}]" for kind, t0, t1 in zip(path.kinds, breaks, breaks[1:]))
+        yield f"piece: {path.piece}\nsegments: {segments}"
+    for rows in _plan_slices(t, w, s):
+        yield "\n" + "\n".join([row % (ti, si, *wi) for ti, si, wi in rows])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -433,6 +503,8 @@ def _cmd_plan(args) -> int:
     from . import planner
 
     _check_samples(args.samples, MAX_PLAN_SAMPLES)
+    if args.n is not None and args.n < 0:
+        raise UsageError("--n must be non-negative")
     tol_anti = planner.TOL_ANTI if args.tol_anti is None else args.tol_anti
     tol_cell = planner.TOL_CELL if args.tol_cell is None else args.tol_cell
     anti_floor = 0.0 if args.family == "hopf" else planner.TOL_ANTI_MIN  # plan_hopf is well-conditioned at 0
@@ -450,7 +522,10 @@ def _cmd_plan(args) -> int:
             t, w, s = path._checked_samples(args.samples)
         except ValueError as exc:
             raise UsageError(f"cannot plan this pair: {exc}") from exc
-    print(_render_plan(args.format, path, t, w, s))
+    write = sys.stdout.write  # every sample is checked: nothing is written before that
+    for text in _render_plan(args.format, path, t, w, s):
+        write(text)
+    write("\n")
     return 0
 
 
@@ -539,12 +614,25 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, parsed once when argv starts with a command.
+
+    The top-level parser hands everything after the command word to that
+    command's subparser and sets ``command``, so this does the same
+    directly.  Anything else -- no argument, ``-h``, an unknown or
+    abbreviated command -- goes through the top-level parser.
+    """
+    parser = _build_parser()
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
+
+
 def execute(argv: list[str]) -> int:
     """Run one invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
         return args.run(args)

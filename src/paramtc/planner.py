@@ -103,6 +103,15 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, bit for bit ``np.linalg.norm``'s, without its dispatch.
+
+    The same two BLAS dot products, real and imaginary parts apart.
+    """
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _as_complex_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
@@ -119,7 +128,7 @@ class ProjectiveRep:
 
     def __init__(self, z):
         z = _as_complex_vector(z)
-        norm = float(np.linalg.norm(z))
+        norm = _norm(z)
         if abs(norm - 1.0) > _REP_TOL:
             raise ValueError(f"representative must be a unit vector (norm {norm})")
         z = z.copy()
@@ -179,10 +188,10 @@ class BundlePoint:
         s = float(s)
         if not math.isfinite(s):
             raise ValueError(f"s must be finite, got {s}")
-        residual = float(np.linalg.norm(w - _hdot(w, z.z) * z.z))
+        residual = _norm(w - _hdot(w, z.z) * z.z)
         if residual > _UNIT_TOL:
             raise ValueError(f"w is not in the line of z (residual {residual:.2e})")
-        norm2 = float(np.linalg.norm(w)) ** 2 + s * s
+        norm2 = _norm(w) ** 2 + s * s
         if abs(norm2 - 1.0) > _UNIT_TOL:
             raise ValueError(f"|w|^2 + s^2 = {norm2} is not 1")
         w = w.copy()
@@ -550,7 +559,7 @@ def plan(
     tol_anti: float = TOL_ANTI,
     tol_cell: float = TOL_CELL,
 ) -> PlannedPath:
-    """Plan a fiberwise motion from x to y; dispatches on :func:`classify_pair`.
+    """Plan a fiberwise motion from x to y; dispatches on the piece :func:`classify_pair` gives.
 
     The piece's builder gives the arcs, the last of which ends on y, so
     endpoint exactness survives the classification tolerance.  ``tol_anti``
@@ -558,9 +567,12 @@ def plan(
     """
     if not tol_anti >= TOL_ANTI_MIN:  # also true for NaN
         raise ValueError(f"tol_anti must be at least {TOL_ANTI_MIN:g}, got {tol_anti}")
-    piece = classify_pair(x, y, tol_anti, tol_cell)
+    _require_same_fiber(x, y)
+    row = _pair_row(x, y)
+    pieces = _pieces(*row, tol_anti, tol_cell)  # classify_pair's comparisons, on the row the builder reads too
+    piece = int(pieces[0])
     kinds, build = _TEMPLATES[min(piece, 2)]
-    arcs = build(np.array([piece]), *_pair_row(x, y))
+    arcs = build(pieces, *row)
     arcs = [_geodesics(*arc) if kind == "interpolation" else arc for kind, arc in zip(kinds, arcs)]
     return PlannedPath(piece, kinds, arcs, x, y)
 
@@ -616,6 +628,8 @@ def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
     """
     z = _as_complex_vector(z)
     z2 = _as_complex_vector(z2)
+    if z.size != z2.size:
+        raise ValueError(f"z and z2 must have the same length, got {z.size} and {z2.size}")
     if abs(np.linalg.norm(z) - 1.0) > _UNIT_TOL or abs(np.linalg.norm(z2) - 1.0) > _UNIT_TOL:
         raise ValueError("inputs must be unit vectors")
     lam = _hdot(z2, z)

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
+from paramtc.bounds import TCReport
 from paramtc.bundle import DdotDescriptor
+from paramtc.cli import UsageError, _build_parser
 from paramtc.planner import BundlePoint, PlannedPath, ProjectiveRep
 from paramtc.ring import height
 
@@ -161,3 +164,50 @@ def render_plan(path: PlannedPath, count: int, fmt: str) -> str:
         w = ", ".join(f"{re:.6f}{im:+.6f}i" for re, im in entry["w"])
         lines.append(f"t={entry['t']:.3f}  s={entry['s']:+.6f}  w=({w})")
     return "\n".join(lines) + "\n"
+
+
+def complex_vector_from_json(data, what: str) -> np.ndarray:
+    """A JSON list of ``[re, im]`` pairs as a complex vector, read entry by entry.
+
+    Raises the CLI's ``UsageError`` for the first bad entry: a list that is
+    empty or not a list, an entry that is not a pair, a value that is not a
+    JSON number (booleans included), or an integer too large for a float.
+    """
+    if not isinstance(data, list) or not data:
+        raise UsageError(f"{what} must be a non-empty list of [re, im] pairs")
+    out = []
+    for entry in data:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise UsageError(f"{what} entries must be [re, im] pairs")
+        parts = []
+        for value in entry:
+            if type(value) not in (int, float):
+                raise UsageError(f"{what} must be a number, got {value!r}")
+            try:
+                parts.append(float(value))
+            except OverflowError as exc:
+                raise UsageError(f"{what} is too large: {exc}") from exc
+        out.append(complex(*parts))
+    return np.array(out, dtype=complex)
+
+
+def report_json(report: TCReport, params: dict) -> str:
+    """``paramtc bounds --format json``'s payload as ``json.dumps(..., sort_keys=True, indent=2)`` writes it."""
+    return json.dumps({"report": report.to_dict(), **params}, sort_keys=True, indent=2)
+
+
+def execute_through_the_top_level(argv: list[str]) -> int:
+    """``paramtc.cli.execute`` with every argv parsed by the top-level parser, argparse's own way.
+
+    The top-level parser classifies every argument, then hands everything
+    after the command word to that command's subparser.
+    """
+    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        return args.run(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

@@ -18,6 +18,7 @@ from paramtc.planner import PlannedPath, plan, plan_hopf
 from paramtc.verify import VerificationOutcome
 import paramtc.cli as cli_mod
 import paramtc.verify
+from references import execute_through_the_top_level
 
 
 def run(capsys, *argv):
@@ -353,6 +354,21 @@ class TestPlan:
         code, _, err = run(capsys, "plan", "--n", "3", "--pair", _pair_json(n=2))
         assert code == 1
         assert "C^4" in err
+
+    def test_negative_n_rejected(self, capsys):
+        code, out, err = run(capsys, "plan", "--n", "-1", "--pair", _pair_json())
+        assert (code, out, err) == (1, "", "error: --n must be non-negative\n")
+
+    def test_hopf_pair_of_unequal_length_rejected(self, capsys):
+        pair = json.dumps({"z": [[1, 0]], "z2": [[0, 1], [0, 0]]})
+        code, out, err = run(capsys, "plan", "--family", "hopf", "--pair", pair)
+        assert (code, out) == (1, "")
+        assert err == "error: cannot plan this pair: z and z2 must have the same length, got 1 and 2\n"
+
+    def test_hopf_dimension_check_covers_z2(self, capsys):
+        pair = json.dumps({"z": [[1, 0]], "z2": [[0, 1], [0, 0]]})
+        code, out, err = run(capsys, "plan", "--family", "hopf", "--n", "0", "--pair", pair)
+        assert (code, out, err) == (1, "", "error: expected vectors in C^1, got C^2\n")
 
     @pytest.mark.parametrize("kind", sorted(PLAN_TSV_SAMPLES_5))
     def test_tsv_at_five_samples(self, capsys, kind):
@@ -814,6 +830,83 @@ class TestParsing:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "bounds" in out
+
+
+_HOPF_PAIR = json.dumps({"z": [[1, 0], [0, 0]], "z2": [[0, 1], [0, 0]]})
+
+# argvs for the dispatch check: each must parse, run and print as it does through the top-level parser
+DISPATCH_CORPUS = {
+    "empty": [],
+    "top-level-h": ["-h"],
+    "top-level-help": ["--help"],
+    "top-level-help-abbreviated": ["--he"],
+    "top-level-unknown-flag": ["-x"],
+    "unknown-command": ["bogus", "--n", "2"],
+    "abbreviated-command": ["pla", "--pair", _pair_json()],
+    "double-dash-first": ["--", "bounds", "--family", "eta", "--n", "2"],
+    "command-not-first": ["--family", "eta", "bounds"],
+    "bounds-h": ["bounds", "-h"],
+    "plan-h": ["plan", "-h"],
+    "verify-help": ["verify", "--help"],
+    "table-h": ["table", "-h"],
+    "h-after-options": ["bounds", "--family", "eta", "-h", "--n", "3"],
+    "help-with-argument": ["bounds", "--family", "eta", "--n", "3", "--help=x"],
+    "bounds": ["bounds", "--family", "eta-plus-eps", "--n", "3", "--format", "json"],
+    "bounds-descriptor": ["bounds", "--descriptor", SPLIT_DESCRIPTOR, "--quantity", "secat"],
+    "bounds-abbreviated": ["bounds", "--fam", "k-eta", "--n", "4", "--k", "2", "--form", "tsv"],
+    "bounds-equals": ["bounds", "--family=eta", "--n=3"],
+    "bounds-stray": ["bounds", "--family", "eta", "--n", "3", "stray"],
+    "bounds-double-dash": ["bounds", "--", "--family", "eta", "--n", "3"],
+    "bounds-double-dash-last": ["bounds", "--family", "eta", "--n", "3", "--"],
+    "bounds-bad-int": ["bounds", "--family", "eta", "--n", "x"],
+    "bounds-bad-choice": ["bounds", "--family", "nope", "--n", "2"],
+    "bounds-missing-value": ["bounds", "--family"],
+    "plan": ["plan", "--n", "2", "--pair", _pair_json(), "--samples", "3", "--format", "json"],
+    "plan-hopf": ["plan", "--family", "hopf", "--pair", _HOPF_PAIR, "--format", "tsv"],
+    "plan-abbreviated": ["plan", "--pa", _pair_json(), "--sam", "4", "--form", "tsv"],
+    "plan-missing-pair": ["plan", "--n", "2"],
+    "plan-bare": ["plan"],
+    "plan-stray": ["plan", "--pair", _pair_json(), "extra"],
+    "plan-double-dash": ["plan", "--pair", _pair_json(), "--", "--samples", "3"],
+    "plan-negative-n": ["plan", "--pair", _pair_json(), "--n", "-1"],
+    "verify": ["verify", "--suite", "tables", "--n-max", "2", "--format", "json"],
+    "verify-abbreviated": ["verify", "--su", "oracle", "--n-m", "2"],
+    "verify-bad-suite": ["verify", "--suite", "nope"],
+    "verify-ambiguous-abbreviation": ["verify", "--s", "tables"],
+    "table": ["table", "--family", "k-eta", "--n-max", "3", "--format", "tsv"],
+    "table-abbreviated": ["table", "--fam", "eta", "--n-max", "2"],
+    "table-missing-family": ["table"],
+    "table-stray": ["table", "--family", "eta", "--n-max", "2", "x", "y"],
+}
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        result = ("namespace", list(vars(parse(argv)).items()))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    except UsageError as exc:
+        result = ("usage error", str(exc))
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", sorted(DISPATCH_CORPUS))
+def test_dispatch_matches_the_top_level_parser(capsys, case):
+    argv = DISPATCH_CORPUS[case]
+    top_level = cli_mod._build_parser().parse_args
+    assert _parsed(cli_mod._parse_args, argv, capsys) == _parsed(top_level, argv, capsys)
+    code = execute_through_the_top_level(list(argv))
+    captured = capsys.readouterr()
+    assert run(capsys, *argv) == (code, captured.out, captured.err)
+
+
+def test_dispatch_corpus_covers_every_command_and_outcome(capsys):
+    commands = set(cli_mod._build_parser().commands)
+    assert commands == {"bounds", "plan", "verify", "table"}
+    assert commands <= {argv[0] for argv in DISPATCH_CORPUS.values() if argv}
+    outcomes = {_parsed(cli_mod._parse_args, argv, capsys)[0][0] for argv in DISPATCH_CORPUS.values()}
+    assert outcomes == {"namespace", "exit", "usage error"}
 
 
 def _near_antipodes(angle=0.3, gap=0.1):

@@ -17,8 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramtc.cli import execute
+from paramtc.cli import UsageError, _complex_vector_from_json, execute
 from paramtc.planner import TOL_ANTI_MIN
+from references import complex_vector_from_json
 
 
 def _run(argv):
@@ -225,3 +226,34 @@ def test_pair_documents(data):
     code = _check(argv, fmt)
     if valid:
         assert code == 0, argv
+
+
+# -- complex vectors, read in one conversion when every entry is well-typed --------
+
+_JSON_SCALARS = st.one_of(
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**400, -(10**400), 2**1024 - 1, True, False, None, "0.5", "nan", b"1"]),
+)
+_ENTRIES = st.one_of(
+    st.lists(st.floats() | st.integers(-(2**70), 2**70), min_size=2, max_size=2),  # well-typed
+    st.lists(_JSON_SCALARS, min_size=2, max_size=2),
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), min_size=2, max_size=2),
+    _JSON_SCALARS,
+    st.just({"re": 1, "im": 0}),
+    st.just("ab"),
+)
+
+
+def _read_vector(read, data):
+    try:
+        return "vector", read(data, "pair.z").tobytes()
+    except UsageError as exc:
+        return "usage error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_ENTRIES, max_size=5) | _JSON_SCALARS)
+def test_complex_vectors_read_as_entry_by_entry(data):
+    assert _read_vector(_complex_vector_from_json, data) == _read_vector(complex_vector_from_json, data)

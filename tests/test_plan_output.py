@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramtc.cli import MAX_PLAN_SAMPLES, _load_pair, _render_plan_json, execute
-from paramtc.planner import BundlePoint, ProjectiveRep, plan, plan_hopf
+from paramtc.cli import MAX_PLAN_SAMPLES, PLAN_SLICE, _load_pair, _render_plan, _render_plan_json, execute
+from paramtc.planner import BundlePoint, PlannedPath, ProjectiveRep, plan, plan_hopf
 from references import boundary_pairs, plan_json, random_pair, render_plan
 
 FORMATS = ("json", "tsv", "human")
@@ -128,6 +128,34 @@ def test_stdout_matches_the_reference_at_the_cap(capsys):
     _assert_stdout_matches(capsys, "n2-boundary7-piece1", MAX_PLAN_SAMPLES)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_samples_are_written_in_slices(fmt):
+    path = plan(*_load_pair(CASES["n2-boundary7-piece1"][1], "eta-plus-eps", None))
+    count = 2 * PLAN_SLICE + 3
+    slices = list(_render_plan(fmt, path, *path._checked_samples(count)))
+    marker = '"t": ' if fmt == "json" else "\nt=" if fmt == "human" else "\n"
+    per_slice = [text.count(marker) for text in slices]
+    assert max(per_slice) <= PLAN_SLICE and sum(per_slice) == count
+    assert "".join(slices) + "\n" == render_plan(path, count, fmt)
+
+
+def test_a_sample_failing_in_the_last_slice_leaves_stdout_empty(capsys, monkeypatch):
+    fiber_at = PlannedPath.fiber_at
+
+    def nan_height(path, t):
+        w, s = fiber_at(path, t)
+        s[-1] = math.nan
+        return w, s
+
+    monkeypatch.setattr(PlannedPath, "fiber_at", nan_height)
+    pair = CASES["n2-boundary7-piece1"][1]
+    for fmt in FORMATS:
+        code = execute(["plan", "--pair", pair, "--samples", str(2 * PLAN_SLICE + 1), "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: cannot plan this pair: s must be finite, got nan\n"
+
+
 # -- the JSON template on any finite floats --------------------------------------
 
 _SPECIAL = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
@@ -141,7 +169,7 @@ def _assert_template_matches(piece: int, kinds: tuple[str, ...], t: list[float],
     samples = [
         {"t": ti, "s": si, "w": [wi[j : j + 2] for j in range(0, len(wi), 2)]} for ti, si, wi in zip(t, s, w)
     ]
-    got = _render_plan_json(piece, kinds, breakpoints, np.array(t), np.array(w).view(complex), np.array(s))
+    got = "".join(_render_plan_json(piece, kinds, breakpoints, np.array(t), np.array(w).view(complex), np.array(s)))
     assert got == plan_json(piece, kinds, breakpoints, samples)
 
 

@@ -207,6 +207,12 @@ class TestPlanHopf:
         with pytest.raises(NotSameFiberError):
             plan_hopf([1.0, 0.0], [0.0, 1.0])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"^z and z2 must have the same length, got 1 and 2$"):
+            plan_hopf([1.0], [1j, 0.0])
+        with pytest.raises(ValueError, match=r"^z and z2 must have the same length, got 2 and 1$"):
+            plan_hopf([1.0, 0.0], [1j])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
