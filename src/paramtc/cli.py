@@ -16,8 +16,8 @@ an argv whose first word is a command goes straight to that command's
 subparser, which is where the top-level parser would hand it.  Bound
 reports and plans are written as JSON by fixed templates, byte-identical to
 ``json.dumps(..., sort_keys=True, indent=2)``, and a plan's samples are
-written in slices of ``PLAN_SLICE``, so its memory does not grow with the
-size of its text.
+evaluated, checked and written in slices of ``PLAN_SLICE``, so no temporary
+and no text grows with the whole grid.
 
 Descriptor files are JSON documents with keys ``base`` (family plus
 parameter), ``construction`` (a tree of sum / canonical / trivial nodes)
@@ -60,15 +60,17 @@ __all__ = ["execute", "main", "UsageError"]
 
 MAX_CONSTRUCTION_DEPTH = 64  # nested construction nodes in a descriptor
 # plan --samples: points on one planned path.  At the cap, one in-process query
-# on a piece-1 pair, stdout to /dev/null, peaked at 40 MB for n = 2 (json, 0.06 s)
-# and at 68 MB for n = 64 in every format (json 0.9 s), from 35 MB before it,
-# on a shared 2-vCPU host: the sample arrays, as the text goes out PLAN_SLICE
-# samples at a time (writing it whole peaked at 217 MB in json, 120 in tsv).
+# on a piece-1 pair, stdout to /dev/null, peaked at 38 MB for n = 2 (json, 0.06 s)
+# and for n = 64 at 57 MB in json (0.9 s), 52 in tsv and 51 in human, from 36 MB
+# before it, on a shared 2-vCPU host: the grid is evaluated, checked and written
+# PLAN_SLICE samples at a time (evaluated whole it peaked at 68 MB in every
+# format; written whole too, at 217 MB in json).
 MAX_PLAN_SAMPLES = 10_000
 PLAN_SLICE = 256
 MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path; chunks hold verify.CHECK_POINTS points
 # verify --n: each path-suite chunk holds CHECK_POINTS // samples paths of n + 1
-# complex coordinates; 600 trials peaked at 41 MB for n = 2 and 106 MB for n = 64.
+# complex coordinates; 600 trials peaked at 41 MB for n = 2 and 107 MB (0.09 s)
+# for n = 64, from 30 MB before the query.
 # --trials needs no cap: the path and partition suites draw their pairs chunk by
 # chunk (verify --suite all --n 2 peaked at 41.6 MB at 2,000 and 41.7 MB at 200,000).
 MAX_VERIFY_N = 64
@@ -519,7 +521,7 @@ def _cmd_plan(args) -> int:
                 path = planner.plan_hopf(*pair, tol_anti=tol_anti)
             else:
                 path = planner.plan(*pair, tol_anti=tol_anti, tol_cell=tol_cell)
-            t, w, s = path._checked_samples(args.samples)
+            t, w, s = path._checked_samples(args.samples, PLAN_SLICE)
         except ValueError as exc:
             raise UsageError(f"cannot plan this pair: {exc}") from exc
     write = sys.stdout.write  # every sample is checked: nothing is written before that

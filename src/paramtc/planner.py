@@ -94,9 +94,11 @@ def _hdot(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, bit for bit those of ``np.linalg.norm``.
+    """Euclidean norms along the last axis: entry i is bit for bit ``np.linalg.norm(a[i])``.
 
-    Both sum the squares with BLAS dot products, real and imaginary parts apart.
+    Both sum the squares of a row with BLAS dot products, real and imaginary
+    parts apart.  ``np.linalg.norm(a, axis=-1)`` sums them in another order
+    and may differ from either in the last place.
     """
     if np.iscomplexobj(a):
         return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
@@ -523,19 +525,31 @@ class PlannedPath:
         w, s = self.stack.paths_at(t)
         return w[0], s[0]
 
-    def _checked_samples(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _checked_samples(self, count: int, size: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The times ``t[i] = i / (count - 1)`` and the path's ``w`` and ``s`` there, checked once.
 
         The arrays pass the :class:`BundlePoint` constructor's checks, or the
         constructor's ``ValueError`` for the first bad sample is raised.
         ``paramtc plan`` writes its output from them, and :meth:`sample` wraps
-        them as points.
+        them as points.  Given a ``size``, a longer grid is evaluated and
+        checked ``size`` times at a time, in order, into arrays allocated
+        once, so that no evaluation temporary spans the whole grid; every
+        sample is elementwise, so the values are those of one evaluation.
         """
         if count < 2:
             raise ValueError("need at least two samples")
         t = np.arange(count) / (count - 1)
-        w, s = self.fiber_at(t)
-        _check_points(itertools.repeat(self.z), self.z.z[np.newaxis], w, s)
+
+        def checked(times):
+            w, s = self.fiber_at(times)
+            _check_points(itertools.repeat(self.z), self.z.z[np.newaxis], w, s)
+            return w, s
+
+        if size is None or count <= size:
+            return (t, *checked(t))
+        w, s = np.empty((count, self.z.z.size), dtype=complex), np.empty(count)
+        for i in range(0, count, size):
+            w[i : i + size], s[i : i + size] = checked(t[i : i + size])
         return t, w, s
 
     def sample(self, count: int) -> list[BundlePoint]:

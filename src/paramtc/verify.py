@@ -17,6 +17,7 @@ value.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -218,9 +219,38 @@ def check_lh_oracle(n_max: int = 6) -> VerificationOutcome:
 # -- path checking -------------------------------------------------------------
 
 
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of complex ``w``.
+
+    The formula ``np.linalg.norm(w, axis=-1)`` runs for a complex array, so
+    the values are bit for bit its values, without its dispatch.
+    """
+    return np.sqrt(np.add.reduce((w.conj() * w).real, axis=-1))
+
+
 def _fiber_gap(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Euclidean length of fiber displacements: norms over the last axis of ``w``."""
-    return np.hypot(np.linalg.norm(w, axis=-1), s)
+    return np.hypot(_row_norms(w), s)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(samples: int) -> tuple[np.ndarray, np.ndarray, float, int, np.ndarray]:
+    """What the checker's grids depend on, built once per sample count: ``(t, u, spacing, nfine, grid)``.
+
+    ``t`` holds the path times i / (samples - 1) and ``u`` the segments'
+    local times i * spacing.  The fine points are the ``u`` with
+    ``u + LIPSCHITZ_STEP <= 1``; as ``u`` increases they are its first
+    ``nfine``.  A segment's ``grid`` is ``u``, then the fine points moved by
+    the step, then 1.  The arrays are read-only.
+    """
+    t = np.arange(samples) / (samples - 1)
+    spacing = 1.0 / (samples - 1)
+    u = np.arange(samples) * spacing
+    nfine = int(np.count_nonzero(u + LIPSCHITZ_STEP <= 1.0))
+    grid = np.concatenate([u, u[:nfine] + LIPSCHITZ_STEP, [1.0]])
+    for a in (t, u, grid):
+        a.setflags(write=False)
+    return t, u, spacing, nfine, grid
 
 
 def check_path(path: PlannedPath, samples: int = 50) -> VerificationOutcome:
@@ -239,16 +269,16 @@ def check_path(path: PlannedPath, samples: int = 50) -> VerificationOutcome:
     largest measured value of each invariant, NaN if any was.
     """
     out = VerificationOutcome("path")
-    ends = [(point.w[np.newaxis], np.array([point.s])) for point in (path.start, path.end)]
-    out.cases = _check_paths(out, path.stack, path.z.z[np.newaxis], *ends, samples, lambda p: "")
+    ends = np.stack([path.start.w, path.end.w])[:, np.newaxis], np.array([[path.start.s], [path.end.s]])
+    out.cases = _check_paths(out, path.stack, path.z.z[np.newaxis], ends, samples, lambda p: "")
     return out
 
 
-def _check_paths(out: VerificationOutcome, stack: _ArcStack, z, start, end, samples: int, label) -> int:
+def _check_paths(out: VerificationOutcome, stack: _ArcStack, z, ends, samples: int, label) -> int:
     """:func:`check_path` for the paths of ``stack`` over one CP^n, recorded into ``out``.
 
-    Path p runs over the line of ``z[p]`` and must go from the point
-    ``(start[0][p], start[1][p])`` to ``(end[0][p], end[1][p])``.  Its
+    Path p runs over the line of ``z[p]``.  ``ends`` holds the points it
+    must join as arrays ``(w, s)`` indexed ``[start | end, path]``.  Its
     samples are stacked into arrays with every other path's; ``worst`` takes
     the maximum over all of them, and failure records are built only for
     failing paths, their digests prefixed by ``label(p)``.  A path's failures
@@ -260,18 +290,13 @@ def _check_paths(out: VerificationOutcome, stack: _ArcStack, z, start, end, samp
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    t = np.arange(samples) / (samples - 1)
-    spacing = 1.0 / (samples - 1)
-    u = np.arange(samples) * spacing
-    fine = np.flatnonzero(u + LIPSCHITZ_STEP <= 1.0)
+    t, u, spacing, nfine, grid = _grid(samples)
 
-    # path samples [path, t]: endpoints, normalization, base line
+    # path samples [path, t]: endpoints [t = 0 | t = 1, path], normalization, base line
     w, s = stack.paths_at(t)
-    endpoint = np.stack(
-        [_fiber_gap(w[:, i] - point_w, s[:, i] - point_s) for i, (point_w, point_s) in ((0, start), (-1, end))],
-        axis=1,
-    )
-    wn = np.linalg.norm(w, axis=-1)
+    last = samples - 1
+    endpoint = _fiber_gap(w[:, ::last].swapaxes(0, 1) - ends[0], s[:, ::last].T - ends[1])
+    wn = _row_norms(w)
     normalization = np.abs(np.hypot(wn, s) - 1.0)
     align = np.ones_like(wn)  # on the poles the stored representative carries the line
     np.divide(np.abs((z.conj()[:, np.newaxis] * w).sum(axis=-1)), wn, out=align, where=wn > 1e-6)
@@ -281,12 +306,11 @@ def _check_paths(out: VerificationOutcome, stack: _ArcStack, z, start, end, samp
     # to the next grid point, fine rates at the declared step
     first, counts = stack.first, stack.count
     rows = len(stack.angle)
-    grid = np.concatenate([u, u[fine] + LIPSCHITZ_STEP, [1.0]])
     gw, gs = stack.at(np.arange(rows)[:, np.newaxis], grid)
     rate = np.full((rows, samples, 2), -np.inf)  # [segment, grid point, coarse | fine]
-    rate[:, :-1, 0] = _fiber_gap(np.diff(gw[:, :samples], axis=1), np.diff(gs[:, :samples], axis=1)) / spacing
-    fine_w, fine_s = gw[:, samples:-1] - gw[:, fine], gs[:, samples:-1] - gs[:, fine]
-    rate[:, fine, 1] = _fiber_gap(fine_w, fine_s) / LIPSCHITZ_STEP
+    rate[:, :-1, 0] = _fiber_gap(gw[:, 1:samples] - gw[:, :last], gs[:, 1:samples] - gs[:, :last]) / spacing
+    fine_w, fine_s = gw[:, samples:-1] - gw[:, :nfine], gs[:, samples:-1] - gs[:, :nfine]
+    rate[:, :nfine, 1] = _fiber_gap(fine_w, fine_s) / LIPSCHITZ_STEP
 
     # junctions: every segment but a path's first at u = 0 (grid point 0), from
     # the one before at u = 1 (the last grid column)
@@ -297,7 +321,7 @@ def _check_paths(out: VerificationOutcome, stack: _ArcStack, z, start, end, samp
 
     # a value fails unless it is within its bound, so NaN fails too
     endpoint_fails = ~(endpoint <= ENDPOINT_TOL)
-    sample_fails = np.stack([~(normalization <= NORM_DRIFT_TOL), ~(align >= 1.0 - BASE_DRIFT_TOL)], axis=-1)
+    norm_fails, drift_fails = ~(normalization <= NORM_DRIFT_TOL), ~(align >= 1.0 - BASE_DRIFT_TOL)
     rate_fails = ~(rate <= LIPSCHITZ_BOUND)
     junction_fails = ~(junction <= ENDPOINT_TOL)
     worst = {
@@ -313,19 +337,20 @@ def _check_paths(out: VerificationOutcome, stack: _ArcStack, z, start, end, samp
 
     segment_fails = rate_fails.any(axis=(1, 2))
     segment_fails[joints] |= junction_fails  # a junction belongs to the path of its later segment
-    failing = endpoint_fails.any(axis=1) | sample_fails.any(axis=(1, 2)) | np.logical_or.reduceat(segment_fails, first)
+    failing = endpoint_fails.any(axis=0) | (norm_fails | drift_fails).any(axis=1)
+    failing |= np.logical_or.reduceat(segment_fails, first)
     for p in np.flatnonzero(failing).tolist():
         prefix, lo, hi = label(p), first[p], first[p] + counts[p]
-        for j in np.flatnonzero(endpoint_fails[p]):
-            out.record(f"{prefix}{('t=0', 't=1')[j]}", "endpoint", float(endpoint[p, j]))
-        for i, j in np.argwhere(sample_fails[p]):
+        for j in np.flatnonzero(endpoint_fails[:, p]):
+            out.record(f"{prefix}{('t=0', 't=1')[j]}", "endpoint", float(endpoint[j, p]))
+        for i, j in np.argwhere(np.stack([norm_fails[p], drift_fails[p]], axis=-1)):
             invariant, value = (("normalization", normalization), ("base-line drift", drift))[j]
             out.record(f"{prefix}t={t[i]:.6f}", invariant, float(value[p, i]))
         for k, i, j in np.argwhere(rate_fails[lo:hi]):
             out.record(f"{prefix}segment={k} u={u[i]:.6f}", "continuity", float(rate[lo + k, i, j]))
         for k in np.flatnonzero(junction_fails[lo - p : hi - p - 1]):  # path p's joints follow p earlier firsts
             out.record(f"{prefix}segment={k + 1} junction", "junction", float(junction[lo - p + k]))
-    return int(counts.size * (2 + samples) + rows * (samples - 1 + fine.size) + joints.size)
+    return int(counts.size * (2 + samples) + rows * (samples - 1 + nfine) + joints.size)
 
 
 # -- pair generation ------------------------------------------------------------
@@ -349,13 +374,16 @@ def _random_pairs(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndar
     return z, x, fiber[:, 0, 2], y, fiber[:, 1, 2]
 
 
+@functools.lru_cache(maxsize=8)
 def _boundary_arrays(n: int) -> tuple[np.ndarray, ...]:
-    """The hand-built pairs hitting every partition piece, as arrays ``(z, xw, xs, yw, ys, piece)``.
+    """The hand-built pairs hitting every partition piece, as read-only arrays ``(z, xw, xs, yw, ys, piece)``.
 
     Over a representative inside each 2j-cell, with spread-out magnitudes:
     both pole antipodes (piece 2 + j).  Over the one inside the top cell:
     three off-pole antipodes (piece 1), then a point with itself, with the
-    north pole and with a point 1e-3 from its antipode (piece 0).
+    north pole and with a point 1e-3 from its antipode (piece 0).  They
+    depend on n alone, so they are built once per n; every caller still
+    checks, plans or classifies them.
     """
     head = [complex(math.cos(0.7 * (i + 1)), math.sin(0.7 * (i + 1))) for i in range(n + 1)]
     v = np.tril(np.array([head] * (n + 1)))  # row j: the first j + 1 coordinates
@@ -369,7 +397,7 @@ def _boundary_arrays(n: int) -> tuple[np.ndarray, ...]:
     tail_y = np.concatenate([-tail_x[:3], tail_x[3:4], np.zeros((1, n + 1), complex), near * top[np.newaxis]])
     poles = np.zeros((2 * n + 2, n + 1), dtype=complex)
     pole_s = np.tile([1.0, -1.0], n + 1)
-    return (
+    arrays = (
         np.concatenate([np.repeat(cells, 2, axis=0), np.broadcast_to(top, (6, n + 1))]),
         np.concatenate([poles, tail_x]),
         np.concatenate([pole_s, [0.0, 0.8, -0.8, 0.8, 0.8, 0.8]]),
@@ -377,6 +405,9 @@ def _boundary_arrays(n: int) -> tuple[np.ndarray, ...]:
         np.concatenate([-pole_s, [-0.0, -0.8, 0.8, 0.8, 1.0, -0.8]]),
         np.concatenate([np.repeat(np.arange(2, n + 3), 2), [1, 1, 1, 0, 0, 0]]),
     )
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _pair_points(z, xw, xs, yw, ys) -> list[tuple[BundlePoint, BundlePoint]]:
@@ -469,7 +500,9 @@ def check_paths_random(
     ``CHECK_POINTS // samples`` (at least one), as arrays from draw to
     check: each chunk's random pairs are drawn then, continuing one stream,
     its points are checked once, and the batched planner plans them all.
-    So memory does not grow with ``trials``.
+    So memory does not grow with ``trials``.  The boundary rows and the
+    grids are built once per n and per ``samples``; every call still checks,
+    plans and evaluates every pair.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -499,7 +532,8 @@ def check_paths_random(
             _pair_points(*rows)  # raises as the constructors do, naming the first bad row
         piece, stack = _plan_stack(*rows)
         pieces += np.bincount(piece, minlength=n + 3)
-        _check_paths(out, stack, z, (xw, xs), (yw, ys), samples, label(lo))
+        ends = points[1].reshape(2, len(z), n + 1), points[2].reshape(2, len(z))  # x rows, then y rows
+        _check_paths(out, stack, z, ends, samples, label(lo))
         out.cases += len(z)
     out.pieces = dict(enumerate(pieces.tolist()))
     return out

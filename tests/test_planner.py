@@ -16,6 +16,7 @@ from paramtc.planner import (
     NotSameFiberError,
     PlannedPath,
     ProjectiveRep,
+    _norms,
     _plan_stack,
     cell_index,
     cell_section,
@@ -503,6 +504,69 @@ class TestPlannedPath:
         assert len(path.sample(7)) == 7
         with pytest.raises(ValueError):
             path.sample(1)
+
+    @staticmethod
+    def _paths():
+        z = random_rep(4)
+        x = random_point(z)
+        sigma = BundlePoint.section_point(z)
+        hopf = plan_hopf(z.z, np.exp(0.3j) * z.z)
+        return [plan(x, random_point(z)), plan(x, x.antipode()), plan(sigma, sigma.antipode()), hopf]
+
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_sliced_samples_are_one_evaluation(self, size, monkeypatch):
+        fiber_at = PlannedPath.fiber_at
+        calls = []
+
+        def counting(path, t):
+            calls.append(np.array(t))
+            return fiber_at(path, t)
+
+        monkeypatch.setattr(PlannedPath, "fiber_at", counting)
+        for path in self._paths():
+            for count in (2, size, size + 1, 3 * size + 5):
+                if count < 2:
+                    continue
+                calls.clear()
+                t, w, s = path._checked_samples(count, size)
+                sliced = list(calls)
+                expected = path._checked_samples(count)
+                for got, want in zip((t, w, s), expected):  # bit for bit, signed zeros included
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                # in order, each slice at most size long, one call when the grid fits in one
+                assert np.array_equal(np.concatenate(sliced), t) and max(map(len, sliced)) <= size
+                assert len(sliced) == -(-count // size)
+
+    def test_sliced_samples_raise_for_the_first_bad_sample(self, monkeypatch):
+        fiber_at = PlannedPath.fiber_at
+
+        def broken(path, t):
+            w, s = fiber_at(path, t)
+            w = np.where((t > 0.5)[:, np.newaxis], 2 * w, w)  # off the sphere, in a later slice
+            return w, np.where(t > 0.75, math.nan, s)
+
+        path = self._paths()[1]
+        monkeypatch.setattr(PlannedPath, "fiber_at", broken)
+        with pytest.raises(ValueError) as whole:
+            path._checked_samples(100)
+        with pytest.raises(ValueError) as sliced:
+            path._checked_samples(100, 16)
+        assert "is not 1" in str(whole.value) and str(sliced.value) == str(whole.value)
+
+
+class TestNorms:
+    def test_each_norm_is_that_of_its_row(self):
+        # np.linalg.norm(row) bit for bit; np.linalg.norm(a, axis=-1) sums in another order
+        rng = np.random.default_rng(11)
+        differs = 0
+        for length in range(1, 71):
+            scale = 10.0 ** rng.integers(-150, 150, size=(300, 1))
+            a = scale * (rng.standard_normal((300, length)) + 1j * rng.standard_normal((300, length)))
+            for rows in (a, a.real.copy()):
+                got = _norms(rows)
+                assert got.tobytes() == np.array([np.linalg.norm(row) for row in rows]).tobytes()
+            differs += np.count_nonzero(_norms(a) != np.linalg.norm(a, axis=-1))
+        assert differs > 0
 
 
 def _rows(pairs):

@@ -431,13 +431,11 @@ class TestArrayChecker:
         batch = paths + [_corrupted(p, c) for c in self.CORRUPTIONS for p in paths] + paths
         batch.append(_corrupted(paths[1], _turned, only=1))
         got = VerificationOutcome("batch")
-        ends = [
-            (np.stack([point.w for point in points]), np.array([point.s for point in points]))
-            for points in ([p.start for p in batch], [p.end for p in batch])
-        ]
+        points = [[p.start for p in batch], [p.end for p in batch]]  # ends[start | end, path]
+        ends = np.array([[q.w for q in row] for row in points]), np.array([[q.s for q in row] for row in points])
         z = np.stack([path.z.z for path in batch])
         stack = _stacked(batch)
-        got.cases = _check_paths(got, stack, z, *ends, 21, lambda p: f"path#{p} ")
+        got.cases = _check_paths(got, stack, z, ends, 21, lambda p: f"path#{p} ")
         expected = VerificationOutcome("batch")
         for i, path in enumerate(batch):
             sub = _scalar_check_path(path, 21)
@@ -591,6 +589,66 @@ class TestCheckPathsRandom:
         out = check_paths_random(1, trials=25, seed=DEFAULT_SEED, samples=1000)
         assert out.passed, out.failures[:3]
         assert max(sizes) == CHECK_POINTS // 1000 and sum(sizes) == out.cases
+
+
+class TestCheckerParts:
+    """The checker's norm helper, its grid and the boundary rows it builds once."""
+
+    def test_row_norms_are_linalg_norm_bit_for_bit(self):
+        # lengths 1-70 cover numpy's pairwise summation, which starts at 8
+        rng = np.random.default_rng(5)
+        for length in range(1, 71):
+            for shape in ((40, length), (6, 7, length)):
+                w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                w *= 10.0 ** rng.integers(-100, 100, size=shape[:-1] + (1,))
+                w[..., 1, :] = math.nan
+                w[..., 2, -1] = complex(math.inf, 1.0)
+                w[..., 3, 0] = complex(0.0, -math.inf)
+                with np.errstate(invalid="ignore"):  # inf * 0 in the complex products
+                    got, expected = verify_mod._row_norms(w), np.linalg.norm(w, axis=-1)
+                assert got.shape == shape[:-1] and got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+                assert np.isnan(got[..., 1]).all() and np.isposinf(got[..., 2:4]).all()
+
+    def test_fine_points_are_a_prefix_of_the_grid(self):
+        for samples in [*range(2, 1001), 12_345]:  # past 10,001 samples, more than u = 1 lacks a fine point
+            t, u, spacing, nfine, grid = verify_mod._grid(samples)
+            assert np.array_equal(t, np.arange(samples) / (samples - 1)) and spacing == 1.0 / (samples - 1)
+            assert np.array_equal(u, np.arange(samples) * spacing)
+            fine = np.flatnonzero(u + LIPSCHITZ_STEP <= 1.0)
+            assert np.array_equal(fine, np.arange(nfine)), samples
+            assert np.array_equal(grid, np.concatenate([u, u[fine] + LIPSCHITZ_STEP, [1.0]]))
+            assert nfine == samples - 1 if samples <= 10_001 else nfine < samples - 1
+            assert not any(a.flags.writeable for a in (t, u, grid))
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_boundary_rows_are_read_only_and_never_change(self, n):
+        rows = verify_mod._boundary_arrays(n)
+        before = [a.copy() for a in rows]
+        assert not any(a.flags.writeable for a in rows)
+        with pytest.raises(ValueError):
+            rows[1][0, 0] = 1.0
+        check_paths_random(n, trials=5, seed=DEFAULT_SEED)
+        if n >= 1:
+            check_partition(n, trials=5, seed=DEFAULT_SEED)
+            boundary_pairs(n)
+        verify_mod._boundary_arrays.cache_clear()
+        for arrays in (rows, verify_mod._boundary_arrays(n), verify_mod._boundary_arrays(n)):
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(arrays, before, strict=True))
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_each_call_plans_and_checks_every_boundary_pair(self, n, monkeypatch):
+        planned = []
+        real = verify_mod._plan_stack
+
+        def counting(z, *rest):
+            planned.append(len(z))
+            return real(z, *rest)
+
+        monkeypatch.setattr(verify_mod, "_plan_stack", counting)
+        first, second = (check_paths_random(n, trials=8, seed=DEFAULT_SEED, samples=9) for _ in range(2))
+        boundary = len(verify_mod._boundary_arrays(n)[0])
+        assert first == second and first.cases == 8 + boundary
+        assert planned == [8 + boundary] * 2
 
 
 class TestCheckBoundsTables:
