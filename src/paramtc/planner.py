@@ -30,16 +30,14 @@ across all pieces at once, which is the point of the TC lower bounds.  All
 formulas act on ``(w, s)`` only, never on the representative ``z`` alone,
 so everything is invariant under ``z -> lambda z``.
 
-There are two planners for this partition, and one array builder per piece
-writes the arcs for both.  :func:`plan` takes one pair of points, calls its
-piece's builder on one row and returns a :class:`PlannedPath`; ``paramtc
-plan`` answers each query with it, writing its samples from the path's
-checked sample arrays.  ``_plan_stack`` takes many pairs as
-plain arrays, calls each builder on its piece's rows and writes them into
-one ``_ArcStack``; the path suite plans with it.  Both classify by the same
-comparisons and evaluate with the same ``_ArcStack``.  The one-pair planner
-stays because a batch of one costs about twice as much, and single queries
-are what ``paramtc plan`` runs.
+One planner dispatches on this partition.  ``_plan_stack`` takes many pairs
+as plain arrays, classifies them by the comparisons of :func:`classify_pair`,
+calls one array builder per piece on that piece's rows and writes the arcs
+into one ``_ArcStack``, the one evaluator of planned paths.  The path suite
+plans whole chunks with it.  :func:`plan` runs it on one pair's row and
+returns the one-path stack as a :class:`PlannedPath`; ``paramtc plan``
+answers each query with it, writing its samples from the path's checked
+sample arrays.
 """
 
 from __future__ import annotations
@@ -291,8 +289,23 @@ def _check_points(reps: Iterable[ProjectiveRep], z: np.ndarray, w: np.ndarray, s
 
 
 def _require_same_fiber(x: BundlePoint, y: BundlePoint) -> None:
+    for point in (x, y):
+        if not isinstance(point, BundlePoint):
+            raise TypeError(f"expected a BundlePoint, got {type(point).__name__}")
     if x.w.size != y.w.size or not x.z.same_line(y.z):
         raise NotSameFiberError("points lie over different base points")
+
+
+def _check_tolerances(tol_anti: float, tol_cell: float = TOL_CELL, anti_floor: float = 0.0) -> None:
+    """Refuse a ``tol_anti`` outside [``anti_floor``, 1) or a ``tol_cell`` outside [0, 1), NaN included.
+
+    At 1 or above, ``tol_anti`` sends non-antipodal pairs to the antipodal
+    pieces, and ``tol_cell`` leaves no coordinate above it; below 0,
+    ``tol_cell`` counts a zero coordinate as a cell's last.
+    """
+    for name, tol, floor in (("tol_anti", tol_anti, anti_floor), ("tol_cell", tol_cell, 0.0)):
+        if not floor <= tol < 1.0:  # also true for NaN
+            raise ValueError(f"{name} must lie in [{floor:g}, 1), got {tol}")
 
 
 def _pair_row(x: BundlePoint, y: BundlePoint) -> tuple[np.ndarray, ...]:
@@ -368,7 +381,9 @@ def classify_pair(
 
     0 for non-antipodal pairs; 1 for antipodal pairs with ``x`` off the
     poles; 2 + (cell index of the base point) for antipodal pole pairs.
+    ``tol_anti`` or ``tol_cell`` outside [0, 1) raises ``ValueError``.
     """
+    _check_tolerances(tol_anti, tol_cell)
     _require_same_fiber(x, y)
     return int(_pieces(*_pair_row(x, y), tol_anti, tol_cell)[0])
 
@@ -437,12 +452,10 @@ def _pole_piece(piece, z, xw, xs, yw, ys):
     return [turn, (turn[2], turn[3], yw, ys)]
 
 
-# the arc kinds and the builder of pieces 0 and 1 and of every pole piece
-_TEMPLATES = (
-    (("interpolation",), _piece_zero),
-    (("interpolation", "phase-rotation", "interpolation"), _piece_one),
-    (("polar-rotation", "interpolation"), _pole_piece),
-)
+# the arc kinds of pieces 0 and 1 and of every pole piece, and their builders
+_KINDS = (("interpolation",), ("interpolation", "phase-rotation", "interpolation"), ("polar-rotation", "interpolation"))
+_BUILDERS = (_piece_zero, _piece_one, _pole_piece)
+_COUNTS = np.array([len(kinds) for kinds in _KINDS])
 
 
 class _ArcStack:
@@ -493,11 +506,10 @@ class PlannedPath:
 
     __slots__ = ("piece", "kinds", "stack", "start", "end")
 
-    def __init__(self, piece: int, kinds: tuple[str, ...], arcs, start: BundlePoint, end: BundlePoint):
-        """``arcs`` holds the path's arcs in order, each with one row."""
+    def __init__(self, piece: int, kinds: tuple[str, ...], stack: _ArcStack, start: BundlePoint, end: BundlePoint):
         self.piece = piece
         self.kinds = kinds
-        self.stack = _ArcStack(np.array([len(kinds)]), *map(np.concatenate, zip(*arcs)))
+        self.stack = stack
         self.start = start
         self.end = end
 
@@ -573,62 +585,65 @@ def plan(
     tol_anti: float = TOL_ANTI,
     tol_cell: float = TOL_CELL,
 ) -> PlannedPath:
-    """Plan a fiberwise motion from x to y; dispatches on the piece :func:`classify_pair` gives.
+    """Plan a fiberwise motion from x to y: ``_plan_stack`` on the pair's one row.
 
-    The piece's builder gives the arcs, the last of which ends on y, so
-    endpoint exactness survives the classification tolerance.  ``tol_anti``
-    below :data:`TOL_ANTI_MIN` raises ``ValueError``.
+    The piece is the one :func:`classify_pair` gives, and the last arc ends
+    on y, so endpoint exactness survives the classification tolerance.
+    ``tol_anti`` outside [:data:`TOL_ANTI_MIN`, 1) or ``tol_cell`` outside
+    [0, 1) raises ``ValueError``.
     """
-    if not tol_anti >= TOL_ANTI_MIN:  # also true for NaN
-        raise ValueError(f"tol_anti must be at least {TOL_ANTI_MIN:g}, got {tol_anti}")
+    _check_tolerances(tol_anti, tol_cell, TOL_ANTI_MIN)
     _require_same_fiber(x, y)
-    row = _pair_row(x, y)
-    pieces = _pieces(*row, tol_anti, tol_cell)  # classify_pair's comparisons, on the row the builder reads too
+    pieces, stack = _plan_stack(*_pair_row(x, y), tol_anti, tol_cell)
     piece = int(pieces[0])
-    kinds, build = _TEMPLATES[min(piece, 2)]
-    arcs = build(pieces, *row)
-    arcs = [_geodesics(*arc) if kind == "interpolation" else arc for kind, arc in zip(kinds, arcs)]
-    return PlannedPath(piece, kinds, arcs, x, y)
+    return PlannedPath(piece, _KINDS[min(piece, 2)], stack, x, y)
 
 
-def _plan_stack(
-    z: np.ndarray, xw: np.ndarray, xs: np.ndarray, yw: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, _ArcStack]:
-    """:func:`plan` at its default tolerances for many pairs at once, as arrays.
+def _plan_stack(z, xw, xs, yw, ys, tol_anti: float = TOL_ANTI, tol_cell: float = TOL_CELL) -> tuple[np.ndarray, _ArcStack]:
+    """Plan many pairs at once, as arrays: the one dispatch on the partition.
 
     Returns the pieces and the paths' arcs.  Pair k runs from
     ``(xw[k], xs[k])`` to ``(yw[k], ys[k])`` over the line of ``z[k]``; the
     rows must be valid points already.  The pieces come from the comparisons
     of :func:`classify_pair`, and each piece's builder gives the arcs of its
-    pairs, as it does for :func:`plan`.  They go straight into the stack's
-    rows, every interpolation arc of every piece built by one call.
-    A unit ``z`` always has a coordinate of at least ``1 / sqrt(n + 1)``, far
-    above ``TOL_CELL``, so no pole pair is degenerate.
-
-    The one-pair :func:`plan` stays for single queries: by timeit on a
-    shared 2-vCPU host, a batch of one cost 90-103 us against 32-56 us for
-    ``plan``, and ``paramtc plan`` answers one pair per query.
+    pairs.  They go straight into the stack's rows, every interpolation arc
+    of every piece built by one call.  A template with no pair is skipped,
+    and when one template holds every pair its builder takes the rows whole.
+    :func:`plan` runs this on its one row, with the caller's tolerances; the
+    path suite runs it on many at the defaults.  A unit ``z`` always has a
+    coordinate of at least ``1 / sqrt(n + 1)``, far above ``TOL_CELL``, so at
+    the default no pole pair is degenerate; a larger ``tol_cell`` may raise
+    :class:`DegenerateRepresentativeError`, as :func:`classify_pair` does.
     """
-    piece = _pieces(z, xw, xs, yw, ys, TOL_ANTI, TOL_CELL)
+    piece = _pieces(z, xw, xs, yw, ys, tol_anti, tol_cell)
     template = np.minimum(piece, 2)
-    count = np.array([len(kinds) for kinds, _ in _TEMPLATES])[template]
-    first = np.cumsum(count) - count
+    sizes = np.bincount(template, minlength=len(_KINDS)).tolist()
+    count = _COUNTS[template]
     rows = int(count.sum())
     wp, wd = np.empty((2, rows, z.shape[-1]), dtype=complex)
     sp, sd, angle = np.empty((3, rows))
+    stack = _ArcStack(count, wp, sp, wd, sd, angle)
     ends, ends_at = [], []
-    for i, (kinds, build) in enumerate(_TEMPLATES):
-        k = np.flatnonzero(template == i)
-        for j, (kind, arc) in enumerate(zip(kinds, build(piece[k], z[k], xw[k], xs[k], yw[k], ys[k]))):
-            at = first[k] + j
+    for i, (kinds, build, size) in enumerate(zip(_KINDS, _BUILDERS, sizes)):
+        if not size:
+            continue
+        if size == len(piece):  # every pair on this template: its rows whole, no gathers
+            arcs, starts = build(piece, z, xw, xs, yw, ys), stack.first
+        else:
+            k = (template == i).nonzero()[0]
+            arcs, starts = build(piece[k], z[k], xw[k], xs[k], yw[k], ys[k]), stack.first[k]
+        for j, (kind, arc) in enumerate(zip(kinds, arcs)):
+            at = starts + j
             if kind == "interpolation":
                 ends.append(arc)
                 ends_at.append(at)
             else:
                 wp[at], sp[at], wd[at], sd[at], angle[at] = arc
-    at = np.concatenate(ends_at)
-    wp[at], sp[at], wd[at], sd[at], angle[at] = _geodesics(*map(np.concatenate, zip(*ends)))
-    return piece, _ArcStack(count, wp, sp, wd, sd, angle)
+    if len(ends) > 1:  # one _geodesics call for them all; a lone arc goes in as it is
+        ends, ends_at = [tuple(map(np.concatenate, zip(*ends)))], [np.concatenate(ends_at)]
+    for arc, at in zip(ends, ends_at):  # none for an empty batch
+        wp[at], sp[at], wd[at], sd[at], angle[at] = _geodesics(*arc)
+    return piece, stack
 
 
 def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
@@ -638,8 +653,9 @@ def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
     ``|lambda| = 1``.  Non-antipodal pairs rotate through the principal
     phase of lambda (piece 0); antipodal pairs through pi (piece 1).  The
     resulting path is returned on the equator ``s = 0`` of the sphere
-    bundle.
+    bundle.  ``tol_anti`` outside [0, 1) raises ``ValueError``.
     """
+    _check_tolerances(tol_anti)
     z = _as_complex_vector(z)
     z2 = _as_complex_vector(z2)
     if z.size != z2.size:
@@ -659,4 +675,5 @@ def plan_hopf(z, z2, tol_anti: float = TOL_ANTI) -> PlannedPath:
         phi = math.pi
 
     start, end = BundlePoint(rep, z, 0.0), BundlePoint(rep, z2, 0.0)
-    return PlannedPath(piece, ("phase-rotation",), [_phase_turns(start.w[np.newaxis], phi)], start, end)
+    stack = _ArcStack(np.array([1]), *_phase_turns(start.w[np.newaxis], phi))
+    return PlannedPath(piece, ("phase-rotation",), stack, start, end)

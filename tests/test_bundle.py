@@ -18,8 +18,8 @@ from paramtc.bundle import (
     trivial_bundle,
     whitney_sum,
 )
-from paramtc.ring import cup, lh_height, mod2_reduce, power
-from references import ddot_euler_height
+from paramtc.ring import cup, lh_height, mod2_reduce
+from references import ddot_euler_height, power
 
 
 def eta(n: int) -> BundleDescriptor:

@@ -170,6 +170,11 @@ class TestClassify:
         z = ProjectiveRep([1.0, 0.0, 0.0])
         sigma = BundlePoint.section_point(z)
         assert classify_pair(sigma, sigma.antipode()) == 2
+        # a negative tol_cell would put the pole on the top cell, where the section divides by 0
+        for tol in (-1.0, -1e-300, 1.0, math.inf, math.nan):
+            for refuse in (classify_pair, plan):
+                with pytest.raises(ValueError, match="tol_cell must lie in"):
+                    refuse(sigma, sigma.antipode(), tol_cell=tol)
 
     def test_both_pole_signs_share_a_piece(self):
         z = random_rep(2)
@@ -187,6 +192,11 @@ class TestPlanHopf:
         assert path.piece == 0
         for t in (0.0, 0.3, 1.0):
             assert np.allclose(path.fiber_at(t)[0], z, atol=1e-12)
+        assert plan_hopf(z, z, tol_anti=0.0).piece == 0
+        # at tol_anti >= 1 the pair would be planned as antipodal, ending at -z
+        for tol in (1.0, 5.0, -1e-3):
+            with pytest.raises(ValueError, match=r"tol_anti must lie in \[0, 1\)"):
+                plan_hopf(z, z, tol_anti=tol)
 
     def test_quarter_turn_formula(self):
         z = random_rep(1).z
@@ -220,6 +230,8 @@ class TestPlanHopf:
             plan_hopf([1.0, 0.0], [complex(0.0, bad), 0.0])
         with pytest.raises(ValueError, match="finite"):
             plan_hopf([complex(bad, 0.0), 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="tol_anti must lie in"):
+            plan_hopf([1.0, 0.0], [1.0, 0.0], tol_anti=bad)
 
 
 class TestPlan:
@@ -340,6 +352,15 @@ class TestPlan:
     def test_different_fibers_rejected(self):
         with pytest.raises(NotSameFiberError):
             plan(random_point(random_rep(2)), random_point(random_rep(2)))
+        x = BundlePoint.section_point(ProjectiveRep([1.0, 0.0]))
+        for call, name in (
+            (lambda: plan("a", "b"), "str"),
+            (lambda: plan(x, None), "NoneType"),
+            (lambda: classify_pair(x, (x.z, 0.0)), "tuple"),
+            (lambda: fiber_inner(x.w, x), "ndarray"),
+        ):
+            with pytest.raises(TypeError, match=f"^expected a BundlePoint, got {name}$"):
+                call()
 
 
 def _cell_rep(n: int, j: int) -> ProjectiveRep:
@@ -376,7 +397,7 @@ def test_off_pole_antipodes_keep_the_speed_bound(n, j):
 
 
 def test_tol_anti_floor():
-    """At TOL_ANTI_MIN exact and near antipodes plan cleanly; below it plan refuses."""
+    """At TOL_ANTI_MIN exact and near antipodes plan cleanly; below it, and from 1 on, plan refuses."""
     for n in (1, 3, 6):
         z = random_rep(n)
         for _ in range(40):
@@ -398,8 +419,8 @@ def test_tol_anti_floor():
                 outcome = check_path(path, samples=21)
                 assert outcome.passed, (n, outcome.failures[:3])
                 assert len(path.sample(9)) == 9  # validated points, as plan prints them
-    for tol in (0.0, 1e-13, TOL_ANTI_MIN / 2, -1.0, math.nan):
-        with pytest.raises(ValueError):
+    for tol in (0.0, 1e-13, TOL_ANTI_MIN / 2, -1.0, math.nan, 1.0, 5.0, math.inf):
+        with pytest.raises(ValueError, match="tol_anti must lie in"):
             plan(x, x.antipode(), tol_anti=tol)
 
 
@@ -599,12 +620,16 @@ def _off_antipodes(n):
 
 
 class TestPlanStack:
-    """The batched planner against ``plan``: the same builders, so the same arcs bit for bit."""
+    """A mixed batch against one-row batches through ``plan``: the same arcs bit for bit.
+
+    A mixed batch gathers each template's pairs, and a one-row batch takes
+    its row whole, so this compares the two ways through the one planner.
+    """
 
     @staticmethod
-    def _assert_plans_match(pairs):
-        piece, stack = _plan_stack(*_rows(pairs))
-        paths = [plan(x, y) for x, y in pairs]
+    def _assert_plans_match(pairs, tol_anti=TOL_ANTI, tol_cell=TOL_CELL):
+        piece, stack = _plan_stack(*_rows(pairs), tol_anti, tol_cell)
+        paths = [plan(x, y, tol_anti, tol_cell) for x, y in pairs]
         assert piece.tolist() == [path.piece for path in paths]
         assert stack.count.tolist() == [len(path.kinds) for path in paths]
         for k, path in enumerate(paths):
@@ -631,6 +656,15 @@ class TestPlanStack:
         pairs = _off_antipodes(n) + TestPlannedPath._near_threshold_pairs(n)
         _, stack = self._assert_plans_match(pairs)
         assert set(stack.count.tolist()) == {1, 2, 3}  # one count per template, whether or not y = -x
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("tol_anti, tol_cell", [(TOL_ANTI_MIN, TOL_CELL), (0.5, 0.3)])
+    def test_user_tolerances(self, n, tol_anti, tol_cell):
+        rng = np.random.default_rng(200 + n)
+        pairs = [random_pair(rng, n) for _ in range(200)] + _off_antipodes(n)
+        pairs += TestPlannedPath._near_threshold_pairs(n) + [(x, y) for x, y, _ in boundary_pairs(n)]
+        piece, _ = self._assert_plans_match(pairs, tol_anti, tol_cell)
+        assert set(piece.tolist()) == set(range(n + 3))
 
     def test_empty_batch(self):
         z = np.zeros((0, 3), dtype=complex)

@@ -27,10 +27,9 @@ from paramtc.ring import (
     lh_multiply,
     lh_power,
     mod2_reduce,
-    power,
     _height,
 )
-from references import ddot_euler_height, dense_product, dense_sum
+from references import ddot_euler_height, dense_product, dense_sum, power
 
 
 def cpn_ring(n: int) -> RingDescriptor:
@@ -186,6 +185,8 @@ class TestPower:
         r = cpn_ring(3)
         with pytest.raises(ValueError):
             power(r.generator("x"), -1)
+        with pytest.raises(ValueError, match="negative powers"):
+            lh_power(lh_cpn(3).u(), -1)
 
 
 class TestHeight:
