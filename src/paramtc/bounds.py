@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bundle import BundleDescriptor, DdotDescriptor, ddot_of, family_bundle
+from .bundle import BundleDescriptor, DdotDescriptor, ddot_of, family_bundles
 from .ring import Coefficients, RingElement, height, lh_height
 
 __all__ = [
@@ -377,11 +377,17 @@ def family_table(family: str, n_max: int) -> list[tuple[int, int, TCReport]]:
     """The bound table of a bundle family over CP^1 ... CP^{n_max}.
 
     Rows are ``(n, k, report)`` with the family's :func:`default_quantity`:
-    every n, k <= n_max for ``k-eta``, k = 1 for the other families.
+    every n, k <= n_max for ``k-eta``, k = 1 for the other families.  Each
+    n's bundles come from one :func:`~paramtc.bundle.family_bundles` call,
+    so a ``k-eta`` table builds one k-fold chain per n: n_max * (n_max - 1)
+    Whitney sums in all.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ns = range(1, n_max + 1)
-    ks = ns if family == "k-eta" else (1,)
+    k_max = n_max if family == "k-eta" else 1
     report = QUANTITIES[default_quantity(family)]
-    return [(n, k, report(family_bundle(family, n, k))) for n in ns for k in ks]
+    return [
+        (n, k, report(xi))
+        for n in range(1, n_max + 1)
+        for k, xi in enumerate(family_bundles(family, n, k_max), 1)
+    ]

@@ -10,6 +10,13 @@ flags are not verified -- deciding them is a hard topology problem this
 package does not attempt.  Descriptors are immutable and constructions
 (:func:`whitney_sum`, :func:`k_fold_sum`, :func:`ddot_of`) are pure.
 
+Descriptors are checked where they enter: ``BundleDescriptor(...)`` and
+``dataclasses.replace`` run every check of ``__post_init__``.  The
+constructions (:func:`canonical_line_bundle`, :func:`trivial_bundle` and
+:func:`whitney_sum`, and through it :func:`k_fold_sums`) build from checked
+inputs by construction, without the re-check, and each of them says why
+every check holds for what it builds.
+
 A base is its integral cohomology ring: a truncated polynomial ring over
 Z, which is a free Z-module, so no base has torsion, and its dimension is
 the ring's top degree.
@@ -41,8 +48,10 @@ __all__ = [
     "trivial_bundle",
     "whitney_sum",
     "k_fold_sum",
+    "k_fold_sums",
     "ddot_of",
     "family_bundle",
+    "family_bundles",
 ]
 
 # the named bundle families over CP^n; the order is the CLI's choice order
@@ -151,6 +160,39 @@ class BundleDescriptor:
             if d is not None and d != self.rank - 1:
                 raise ValueError("complement Euler class must have degree rank - 1")
 
+    @classmethod
+    def _built(
+        cls,
+        base: BaseSpace,
+        rank: int,
+        euler: RingElement | None,
+        sw_total: RingElement,
+        has_complex_structure: bool = False,
+        trivial_summands: int = 0,
+        independent_sections: int = 0,
+        complement_euler: RingElement | None = None,
+        split: "tuple[BundleDescriptor, BundleDescriptor] | None" = None,
+    ) -> "BundleDescriptor":
+        """The descriptor of these fields, set without running ``__post_init__``.
+
+        Only the constructions of this module build here, from checked
+        inputs, and each says why the checks hold for what it passes.  Data
+        from outside goes through ``BundleDescriptor(...)``.
+        """
+        self = object.__new__(cls)
+        vars(self).update(
+            base=base,
+            rank=rank,
+            euler=euler,
+            sw_total=sw_total,
+            has_complex_structure=has_complex_structure,
+            trivial_summands=trivial_summands,
+            independent_sections=independent_sections,
+            complement_euler=complement_euler,
+            split=split,
+        )
+        return self
+
     @property
     def orientable(self) -> bool:
         return self.euler is not None
@@ -174,32 +216,41 @@ def canonical_line_bundle(base: BaseSpace) -> BundleDescriptor:
 
     Its Euler class generates degree 2; only defined over the projective
     space family (the generic case carries no canonical class).
+
+    Built without the public re-check, which holds by construction: x lives
+    in the base ring with degree 2 = rank (or is zero over CP^0); w = 1 + x
+    lives in the mod-2 ring with degree-0 part 1 and nothing above degree 2;
+    x reduces mod 2 to w_2 = x; there are no sections and no complement;
+    and the rank is even, as the complex structure needs.
     """
     if base.family != "CPn":
         raise ValueError("the canonical line bundle is defined over CPn bases")
     # over CP^0 the generator is truncated away, giving the zero class
     x = base.ring.generator("x")
     sw = base.mod2_ring.one() + base.mod2_ring.generator("x")
-    return BundleDescriptor(
-        base=base,
-        rank=2,
-        euler=x,
-        sw_total=sw,
-        has_complex_structure=True,
-    )
+    return BundleDescriptor._built(base, 2, x, sw, has_complex_structure=True)
 
 
 def trivial_bundle(base: BaseSpace, rank: int) -> BundleDescriptor:
+    """The trivial bundle of the given rank: rank trivial summands, classes 0 and 1.
+
+    Built without the public re-check, which holds by construction once
+    rank >= 1: the Euler class is zero and w = 1, so every degree condition
+    holds, w_rank = 0 is the reduction of 0, and rank sections are allowed
+    by the zero Euler class and w = 1.  The complement, present from rank 2,
+    has a trivial summand beside it and the zero class.
+    """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    return BundleDescriptor(
-        base=base,
-        rank=rank,
-        euler=base.ring.zero(),
-        sw_total=base.mod2_ring.one(),
+    zero = base.ring.zero()
+    return BundleDescriptor._built(
+        base,
+        rank,
+        zero,
+        base.mod2_ring.one(),
         trivial_summands=rank,
         independent_sections=rank,
-        complement_euler=base.ring.zero() if rank >= 2 else None,
+        complement_euler=zero if rank >= 2 else None,
     )
 
 
@@ -227,14 +278,29 @@ def whitney_sum(a: BundleDescriptor, b: BundleDescriptor) -> BundleDescriptor:
     Orientability is only propagated when both summands are declared
     orientable (two non-orientable summands may have an orientable sum, but
     no Euler class is available for it at the descriptor level).
+
+    Built without the public re-check, which holds by construction for two
+    checked summands over one base:
+
+    - the Euler degree adds under cup, so e(a)e(b) has degree rank(a) + rank(b)
+      or is zero, in the base ring;
+    - w(a)w(b) lives in the mod-2 ring with degree-0 part 1·1 = 1;
+    - the counts add, so the sum's sections, the larger count, are at most
+      s(a) + s(b), and its SW degrees at most (rank(a) - s(a)) + (rank(b) - s(b));
+    - the top SW class of the sum is w_top(a)w_top(b), the reduction of e(a)e(b);
+    - a section of the sum means s(a) >= 1 or s(b) >= 1, whose Euler class,
+      and so the product, vanishes;
+    - two complex structures have even ranks, and so does their sum;
+    - a complement comes from a summand with a trivial summand, and has
+      degree rank(a) + rank(b) - 1 or is zero (see :func:`_sum_complement`).
     """
     if a.base is not b.base and a.base != b.base:
         raise ValueError("Whitney sum requires a common base space")
-    return BundleDescriptor(
-        base=a.base,
-        rank=a.rank + b.rank,
-        euler=cup(a.euler, b.euler) if a.orientable and b.orientable else None,
-        sw_total=cup(a.sw_total, b.sw_total),
+    return BundleDescriptor._built(
+        a.base,
+        a.rank + b.rank,
+        cup(a.euler, b.euler) if a.orientable and b.orientable else None,
+        cup(a.sw_total, b.sw_total),
         has_complex_structure=a.has_complex_structure and b.has_complex_structure,
         trivial_summands=a.trivial_summands + b.trivial_summands,
         independent_sections=a.independent_sections + b.independent_sections,
@@ -243,31 +309,46 @@ def whitney_sum(a: BundleDescriptor, b: BundleDescriptor) -> BundleDescriptor:
     )
 
 
-def k_fold_sum(a: BundleDescriptor, k: int) -> BundleDescriptor:
-    """Whitney sum of k copies of ``a``."""
-    if k < 1:
+def k_fold_sums(a: BundleDescriptor, k_max: int) -> list[BundleDescriptor]:
+    """The k-fold sums of ``a`` for k = 1 ... k_max: a, a+a, (a+a)+a, ...
+
+    Each is one :func:`whitney_sum` of the one before and ``a``, so the
+    whole chain costs k_max - 1 sums and each ``split`` is left-nested.
+    """
+    if k_max < 1:
         raise ValueError("k must be >= 1")
-    out = a
-    for _ in range(k - 1):
-        out = whitney_sum(out, a)
-    return out
+    chain = [a]
+    for _ in range(k_max - 1):
+        chain.append(whitney_sum(chain[-1], a))
+    return chain
 
 
-def family_bundle(family: str, n: int, k: int = 1) -> BundleDescriptor:
-    """The bundle a family name denotes over CP^n.
+def k_fold_sum(a: BundleDescriptor, k: int) -> BundleDescriptor:
+    """Whitney sum of k copies of ``a``: the last of :func:`k_fold_sums`, k - 1 sums."""
+    return k_fold_sums(a, k)[-1]
 
-    ``k-eta`` is the k-fold sum of the canonical line bundle eta, ``eta`` is
-    eta itself (the k = 1 member of ``k-eta``) and ``eta-plus-eps`` is eta
-    plus a trivial line.  ``k`` only applies to ``k-eta``.
+
+def family_bundles(family: str, n: int, k_max: int = 1) -> list[BundleDescriptor]:
+    """The bundles a family name denotes over CP^n, for k = 1 ... k_max.
+
+    ``k-eta`` is the k-fold sum of the canonical line bundle eta, its chain
+    built once by :func:`k_fold_sums`; ``eta`` is eta itself (the k = 1
+    member of ``k-eta``) and ``eta-plus-eps`` is eta plus a trivial line.
+    ``k_max`` above 1 only applies to ``k-eta``.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family!r}")
-    if k != 1 and family != "k-eta":
+    if k_max != 1 and family != "k-eta":
         raise ValueError(f"k applies only to the k-eta family, not {family}")
     eta = canonical_line_bundle(cpn(n))
     if family == "eta-plus-eps":
-        return whitney_sum(eta, trivial_bundle(eta.base, 1))
-    return k_fold_sum(eta, k)
+        return [whitney_sum(eta, trivial_bundle(eta.base, 1))]
+    return k_fold_sums(eta, k_max)
+
+
+def family_bundle(family: str, n: int, k: int = 1) -> BundleDescriptor:
+    """The bundle a family name denotes over CP^n: member k of :func:`family_bundles`."""
+    return family_bundles(family, n, k)[-1]
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,10 @@ MAX_VERIFY_SAMPLES = 1_000  # grid points per checked path; chunks hold verify.C
 # --trials needs no cap: the path and partition suites draw their pairs chunk by
 # chunk (verify --suite all --n 2 peaked at 41.6 MB at 2,000 and 41.7 MB at 200,000).
 MAX_VERIFY_N = 64
-# --n-max of verify and table: table --family k-eta builds about n_max^3 / 2
-# descriptors (0.4 s at 32; 3.2 s end to end at 64) and the oracle suite grows
-# about as n_max^3 (2.8 s at 32), timed on a shared 2-vCPU host.
+# --n-max of verify and table: table --family k-eta builds one chain of n_max
+# k-fold sums per n, n_max^2 descriptors (0.10 s end to end at 32; 0.16 s at 64),
+# and the oracle suite grows about as n_max^3 (2.8 s at 32), timed on a shared
+# 2-vCPU host.
 MAX_N_MAX = 64
 
 

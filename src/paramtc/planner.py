@@ -296,7 +296,7 @@ def _require_same_fiber(x: BundlePoint, y: BundlePoint) -> None:
         raise NotSameFiberError("points lie over different base points")
 
 
-def _check_tolerances(tol_anti: float, tol_cell: float = TOL_CELL, anti_floor: float = 0.0) -> None:
+def _check_tolerances(tol_anti: float = TOL_ANTI, tol_cell: float = TOL_CELL, anti_floor: float = 0.0) -> None:
     """Refuse a ``tol_anti`` outside [``anti_floor``, 1) or a ``tol_cell`` outside [0, 1), NaN included.
 
     At 1 or above, ``tol_anti`` sends non-antipodal pairs to the antipodal
@@ -331,8 +331,9 @@ def cell_index(z: ProjectiveRep, tol_cell: float = TOL_CELL) -> int:
     """Index j of the open cell of CP^n containing [z].
 
     The 2j-cell consists of the lines whose last nonzero homogeneous
-    coordinate is the j-th.
+    coordinate is the j-th.  ``tol_cell`` outside [0, 1) raises ``ValueError``.
     """
+    _check_tolerances(tol_cell=tol_cell)
     return int(_cells(z.z[np.newaxis], tol_cell)[0])
 
 
@@ -346,8 +347,10 @@ def cell_section(z: ProjectiveRep, j: int, tol_cell: float = TOL_CELL) -> np.nda
     """Unit vector in the line [z] whose j-th coordinate is real and positive.
 
     Continuous on the open 2j-cell and invariant under ``z -> lambda z``:
-    the phase of the j-th coordinate is divided out.
+    the phase of the j-th coordinate is divided out.  ``tol_cell`` outside
+    [0, 1) raises ``ValueError``.
     """
+    _check_tolerances(tol_cell=tol_cell)
     zj = complex(z.z[j])
     if abs(zj) <= tol_cell:
         raise DegenerateRepresentativeError(

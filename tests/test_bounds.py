@@ -18,12 +18,14 @@ from paramtc.bounds import (
     tc_sphere_bundle,
     tc_split_upper,
 )
+import paramtc.bundle as bundle_mod
 from paramtc.bundle import (
     FAMILIES,
     BundleDescriptor,
     canonical_line_bundle,
     cpn,
     family_bundle,
+    family_bundles,
     k_fold_sum,
     trivial_bundle,
     whitney_sum,
@@ -298,6 +300,30 @@ class TestFamilyTable:
         assert family_bundle("k-eta", 3, 2) == k_fold_sum(eta(3), 2)
         with pytest.raises(ValueError, match="k-eta"):
             family_bundle("eta", 3, 2)
+
+    def test_family_bundles_are_its_members(self):
+        for family in FAMILIES:
+            k_max = 5 if family == "k-eta" else 1
+            assert family_bundles(family, 3, k_max) == [family_bundle(family, 3, k) for k in range(1, k_max + 1)]
+        with pytest.raises(ValueError, match="k-eta"):
+            family_bundles("eta-plus-eps", 3, 2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            family_bundles("k-eta", 3, 0)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 12])
+    def test_k_eta_table_sums_one_chain_per_n(self, monkeypatch, n_max):
+        # one chain of n_max - 1 sums per n, not a k-fold sum rebuilt for every row
+        calls = []
+        real = bundle_mod.whitney_sum
+
+        def counting(a, b):
+            calls.append(a.base)
+            return real(a, b)
+
+        monkeypatch.setattr(bundle_mod, "whitney_sum", counting)
+        assert len(family_table("k-eta", n_max)) == n_max * n_max
+        assert len(calls) == n_max * (n_max - 1)
+        assert [base.dimension // 2 for base in calls] == [n for n in range(1, n_max + 1) for _ in range(n_max - 1)]
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="n_max"):

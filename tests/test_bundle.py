@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paramtc.bundle import (
     BaseSpace,
@@ -14,6 +16,7 @@ from paramtc.bundle import (
     cpn,
     ddot_of,
     k_fold_sum,
+    k_fold_sums,
     point,
     trivial_bundle,
     whitney_sum,
@@ -125,6 +128,107 @@ class TestKFoldSum:
     def test_zero_fold_rejected(self):
         with pytest.raises(ValueError):
             k_fold_sum(eta(3), 0)
+
+
+class TestKFoldSums:
+    def test_chain_is_the_k_fold_sums(self):
+        a = eta_plus_eps(3)
+        chain = k_fold_sums(a, 5)
+        assert chain == [k_fold_sum(a, k) for k in range(1, 6)]
+        assert chain[0] is a
+
+    def test_chain_is_left_nested(self):
+        a = eta(4)
+        chain = k_fold_sums(a, 4)
+        for k in range(1, 4):
+            assert chain[k].split[0] is chain[k - 1] and chain[k].split[1] is a
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            k_fold_sums(eta(3), 0)
+
+
+@st.composite
+def construction_trees(draw):
+    """A descriptor built by the module's constructions over CP^n (n <= 6) or the point."""
+    n = draw(st.sampled_from([None, *range(7)]))
+    base = point() if n is None else cpn(n)
+    leaves = [trivial_bundle(base, rank) for rank in (1, 2, 3)]
+    if n is not None:
+        line = canonical_line_bundle(base)
+        leaves += [line, whitney_sum(line, leaves[0]), whitney_sum(leaves[0], line)]
+    trees = st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.one_of(
+            st.builds(whitney_sum, kids, kids),
+            st.builds(k_fold_sum, kids, st.integers(1, 4)),
+        ),
+        max_leaves=6,
+    )
+    return draw(trees)
+
+
+def _parts(d):
+    """``d`` and every summand its ``split`` remembers, recursively."""
+    yield d
+    if d.split is not None:
+        for part in d.split:
+            yield from _parts(part)
+
+
+@given(construction_trees())
+@example(whitney_sum(eta(4), eta_plus_eps(4)))  # the complement rules that cup an Euler class
+@example(whitney_sum(eta_plus_eps(4), eta(4)))
+@settings(max_examples=200, deadline=None)
+def test_constructions_pass_the_public_checks(d):
+    # the constructions skip __post_init__; dataclasses.replace runs it on every field
+    for part in _parts(d):
+        checked = dataclasses.replace(part)
+        assert checked == part
+        assert checked.split == part.split
+        assert checked.complement_euler == part.complement_euler
+
+
+def _bad_fields():
+    """(descriptor, updates, message) triples, each refused by ``__post_init__`` for one field."""
+    base = cpn(2)
+    x, mod2 = base.ring.generator("x"), base.mod2_ring
+    two_x = cup(base.ring.scalar(2), x)  # degree 2, but 0 mod 2
+    line = canonical_line_bundle(base)
+    plus = whitney_sum(line, trivial_bundle(base, 1))
+    return {
+        "rank": (line, {"rank": 0}, "rank must be >= 1"),
+        "euler-ring": (line, {"euler": cpn(3).ring.generator("x")}, "Euler class must live in the base ring"),
+        "euler-degree": (line, {"euler": cup(x, x)}, "Euler class degree 4 != rank 2"),
+        "sw-ring": (line, {"sw_total": base.ring.one()}, "mod-2 base ring"),
+        "sw-degree-0": (line, {"sw_total": mod2.generator("x")}, "degree-0 part equal to 1"),
+        "trivial-negative": (line, {"trivial_summands": -1}, "non-negative"),
+        "sections-negative": (line, {"independent_sections": -1}, "non-negative"),
+        "counts-above-rank": (plus, {"independent_sections": 4}, "cannot exceed the rank"),
+        "sw-above-sections": (line, {"independent_sections": 1}, "SW classes above degree 1"),
+        "top-sw": (line, {"euler": two_x}, "top SW class"),
+        "section-euler": (
+            line,
+            {"euler": two_x, "sw_total": mod2.one(), "has_complex_structure": False, "independent_sections": 1},
+            "vanishing Euler class",
+        ),
+        "complex-odd-rank": (plus, {"has_complex_structure": True}, "even rank"),
+        "complement-no-trivial": (line, {"complement_euler": base.ring.zero()}, "trivial line subbundle"),
+        "complement-degree": (plus, {"complement_euler": cup(x, x)}, "degree rank - 1"),
+    }
+
+
+BAD_FIELDS = _bad_fields()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_public_constructor_refuses_each_bad_field(case):
+    d, updates, message = BAD_FIELDS[case]
+    fields = {f.name: getattr(d, f.name) for f in dataclasses.fields(d)}
+    with pytest.raises(ValueError, match=message):
+        BundleDescriptor(**{**fields, **updates})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(d, **updates)
 
 
 class TestDescriptorValidation:

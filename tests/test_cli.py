@@ -569,6 +569,16 @@ class TestTable:
         for cell in json.loads(out):
             assert cell["lower"] == "1" and cell["exact"] == "true"
 
+    def test_k_eta_at_the_cap(self, capsys):
+        # a few rows of the largest table (64 is MAX_N_MAX), pinned against floor(n / k)
+        code, out, _ = run(capsys, "table", "--family", "k-eta", "--n-max", "64", "--format", "tsv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n\tk\tsecat" and len(lines) == 1 + 64 * 64
+        rows = {(n, k): secat for n, k, secat in (map(int, line.split("\t")) for line in lines[1:])}
+        for n, k in [(1, 1), (1, 64), (7, 3), (32, 5), (63, 2), (64, 1), (64, 7), (64, 33), (64, 64)]:
+            assert rows[n, k] == n // k, (n, k)
+
     @pytest.mark.parametrize("family", sorted(TABLE_TSV_N_MAX_5))
     def test_tsv_at_n_max_5(self, capsys, family):
         code, out, _ = run(capsys, "table", "--family", family, "--n-max", "5", "--format", "tsv")

@@ -125,6 +125,16 @@ class TestCells:
         with pytest.raises(DegenerateRepresentativeError):
             cell_index(z, tol_cell=0.99)
 
+    @pytest.mark.parametrize("tol_cell", [-1.0, float("nan"), 1.0])
+    def test_tolerance_outside_unit_interval_refused(self, tol_cell):
+        # -1 once put [1, 0] in cell 1 and sectioned it to NaNs; NaN raised DegenerateRepresentativeError
+        z = ProjectiveRep([1.0, 0.0])
+        with pytest.raises(ValueError, match="tol_cell must lie in"):
+            cell_index(z, tol_cell=tol_cell)
+        for j in (0, 1):
+            with pytest.raises(ValueError, match="tol_cell must lie in"):
+                cell_section(z, j, tol_cell=tol_cell)
+
     def test_section_normalises_phase(self):
         out = cell_section(ProjectiveRep([0.0, 1j]), 1)
         assert np.allclose(out, [0.0, 1.0], atol=1e-15)

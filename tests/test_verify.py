@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -661,6 +662,16 @@ class TestCheckBoundsTables:
         out = check_bounds_tables(32)
         assert out.passed, out.failures[:3]
         assert out.cases == 32 * 32 + 32 + 32
+
+    def test_full_table_passes_at_the_cap_within_budget(self):
+        # one k-fold chain per n; rebuilding every row took about 2.5-3.8 s on a 2-vCPU host
+        budget_s = 1.0
+        start = time.perf_counter()
+        out = check_bounds_tables(64)
+        elapsed = time.perf_counter() - start
+        assert out.passed, out.failures[:3]
+        assert out.cases == 64 * 64 + 64 + 64
+        assert elapsed < budget_s, f"check_bounds_tables(64) took {elapsed:.2f} s, budget {budget_s} s"
 
     def test_missing_note_is_a_recorded_failure(self, monkeypatch):
         real = verify_mod.family_table
