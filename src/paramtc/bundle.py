@@ -84,8 +84,14 @@ class BaseSpace:
         return self.ring.mod2_shadow()
 
 
+def _check_count(name: str, value) -> None:
+    if type(value) is not int:  # bool is an int subclass, and a float rank or n is no count
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def cpn(n: int) -> BaseSpace:
     """Complex projective n-space: Z[x]/(x^{n+1}) with deg x = 2, dimension 2n."""
+    _check_count("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     return BaseSpace("CPn", RingDescriptor((Generator("x", 2, n + 1),)))
@@ -123,6 +129,8 @@ class BundleDescriptor:
     split: "tuple[BundleDescriptor, BundleDescriptor] | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("rank", "trivial_summands", "independent_sections"):
+            _check_count(name, getattr(self, name))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.euler is not None:
@@ -235,11 +243,12 @@ def trivial_bundle(base: BaseSpace, rank: int) -> BundleDescriptor:
     """The trivial bundle of the given rank: rank trivial summands, classes 0 and 1.
 
     Built without the public re-check, which holds by construction once
-    rank >= 1: the Euler class is zero and w = 1, so every degree condition
-    holds, w_rank = 0 is the reduction of 0, and rank sections are allowed
-    by the zero Euler class and w = 1.  The complement, present from rank 2,
+    rank is an int >= 1: the Euler class is zero and w = 1, so every degree
+    condition holds, w_rank = 0 is the reduction of 0, and rank sections
+    are allowed by the zero Euler class and w = 1.  The complement, present from rank 2,
     has a trivial summand beside it and the zero class.
     """
+    _check_count("rank", rank)
     if rank < 1:
         raise ValueError("rank must be >= 1")
     zero = base.ring.zero()

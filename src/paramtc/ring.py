@@ -21,13 +21,16 @@ section.  The module owns ``e`` and ``deg U`` and checks them once; each
 element (:class:`LHElement`) belongs to one module.
 
 Inputs are checked once, where they enter: the public constructors
-(``RingElement(ring, terms)``, :meth:`RingDescriptor.element`,
-:class:`LHModule`, :class:`LHElement`) check types, signs, ranges and
-rings.  Arithmetic on elements that passed them builds its canonical
-result directly, and rings and modules are compared by identity before
-equality, so equal rings built apart still combine.  In the ring a nonzero
-homogeneous class ``c * x^k`` survives until the degree cap, so its height
-is a closed form; in the module ``U * U`` can vanish early, so
+(:class:`RingDescriptor`, ``RingElement(ring, terms)``,
+:meth:`RingDescriptor.element`, :class:`LHModule`, :class:`LHElement`)
+check types, signs, ranges and rings.  Arithmetic on elements that passed
+them builds each result's term dict once and hands it over, and nothing
+is checked again: over Z the new element keeps that dict, copying it only
+to drop a zero coefficient, and over Z/2 it keeps the dict reduced mod 2.
+Rings and modules are compared by identity
+before equality, so equal rings built apart still combine.  In the ring a
+nonzero homogeneous class ``c * x^k`` survives until the degree cap, so its
+height is a closed form; in the module ``U * U`` can vanish early, so
 :func:`lh_height` finds the height in O(log h) products by repeated
 squaring and a greedy descent, as exponentiation by squaring finds a power
 (nilpotence is monotone: ``a^k == 0`` implies ``a^(k+1) == 0``).  All
@@ -109,9 +112,15 @@ class RingDescriptor:
     _shadow: "RingDescriptor | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.generators) is not tuple:  # a list would make every element unhashable
+            raise TypeError(f"generators must be a tuple, not {type(self.generators).__name__}")
+        if not isinstance(self.coefficients, Coefficients):
+            raise TypeError(f"coefficients must be a Coefficients member, not {self.coefficients!r}")
         if len(self.generators) > 1:
             raise ValueError(f"a ring has at most one generator, got {len(self.generators)}")
         for g in self.generators:
+            if type(g) is not Generator:
+                raise TypeError(f"generators must hold Generator values, not {type(g).__name__}")
             if g.degree != 2:
                 raise ValueError(f"generator {g.name!r} must have degree 2, not {g.degree!r}")
             if type(g.truncation) is not int or g.truncation < 1:
@@ -189,8 +198,8 @@ class RingElement:
                 c %= 2
             if c and k < t:  # the quotient map kills x^k for k >= t
                 canon[k] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", canon)
+        _set_ring(self, ring)
+        _set_terms(self, canon)
 
     @classmethod
     def _canonical(cls, ring: RingDescriptor, terms: dict[int, int]) -> "RingElement":
@@ -200,14 +209,20 @@ class RingElement:
         canonical except for zero coefficients and, over Z/2, coefficients
         other than 1, so this drops the zeros, reduces mod 2 and checks
         nothing.  Data from outside goes through ``RingElement(ring, terms)``.
+
+        The element takes ownership of ``terms``: callers pass a dict built
+        for the result and never touch it again.  Over Z a dict without a
+        zero coefficient, the common case, is kept as it is instead of
+        copied; over Z/2 the dict is always rebuilt, so a reduction may pass
+        an operand's terms.
         """
         if ring.coefficients is Coefficients.MOD2:
             terms = {k: 1 for k, c in terms.items() if c % 2}
-        else:
+        elif 0 in terms.values():
             terms = {k: c for k, c in terms.items() if c}
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        _set_ring(self, ring)
+        _set_terms(self, terms)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -287,6 +302,11 @@ class RingElement:
             else:
                 pieces.append(f"{coeff}*{mono}")
         return " + ".join(pieces).replace("+ -", "- ")
+
+
+# the slots' own setters: RingElement.__setattr__ refuses every assignment
+_set_ring = RingElement.ring.__set__
+_set_terms = RingElement.terms.__set__
 
 
 def cup(a: RingElement, b: RingElement) -> RingElement:
@@ -470,6 +490,10 @@ class LHModule:
     u_degree: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.euler_eta, RingElement):
+            raise TypeError(f"euler_eta must be a RingElement, not {type(self.euler_eta).__name__}")
+        if type(self.u_degree) is not int:  # bool is an int subclass
+            raise TypeError(f"u_degree must be an int, not {type(self.u_degree).__name__}")
         if self.euler_eta.ring != self.ring:
             raise RingMismatchError("euler_eta must live in the module's ring")
         if self.u_degree < 1:

@@ -49,6 +49,11 @@ class TestBaseSpace:
         assert a == b and hash(a) == hash(b)
         assert a != cpn(2)
 
+    @pytest.mark.parametrize("n", [True, 2.0, "2"])
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(TypeError, match="n must be an int"):
+            cpn(n)
+
     def test_mod2_ring_refused(self):
         with pytest.raises(ValueError, match="integer coefficients"):
             BaseSpace("CPn", cpn(3).mod2_ring)
@@ -190,31 +195,40 @@ def test_constructions_pass_the_public_checks(d):
 
 
 def _bad_fields():
-    """(descriptor, updates, message) triples, each refused by ``__post_init__`` for one field."""
+    """(descriptor, updates, error, message) rows, each refused by ``__post_init__`` for one field."""
     base = cpn(2)
     x, mod2 = base.ring.generator("x"), base.mod2_ring
     two_x = cup(base.ring.scalar(2), x)  # degree 2, but 0 mod 2
     line = canonical_line_bundle(base)
-    plus = whitney_sum(line, trivial_bundle(base, 1))
+    trivial = trivial_bundle(base, 1)
+    plus = whitney_sum(line, trivial)
     return {
-        "rank": (line, {"rank": 0}, "rank must be >= 1"),
-        "euler-ring": (line, {"euler": cpn(3).ring.generator("x")}, "Euler class must live in the base ring"),
-        "euler-degree": (line, {"euler": cup(x, x)}, "Euler class degree 4 != rank 2"),
-        "sw-ring": (line, {"sw_total": base.ring.one()}, "mod-2 base ring"),
-        "sw-degree-0": (line, {"sw_total": mod2.generator("x")}, "degree-0 part equal to 1"),
-        "trivial-negative": (line, {"trivial_summands": -1}, "non-negative"),
-        "sections-negative": (line, {"independent_sections": -1}, "non-negative"),
-        "counts-above-rank": (plus, {"independent_sections": 4}, "cannot exceed the rank"),
-        "sw-above-sections": (line, {"independent_sections": 1}, "SW classes above degree 1"),
-        "top-sw": (line, {"euler": two_x}, "top SW class"),
+        "rank": (line, {"rank": 0}, ValueError, "rank must be >= 1"),
+        "euler-ring": (line, {"euler": cpn(3).ring.generator("x")}, ValueError, "Euler class must live in the base ring"),
+        "euler-degree": (line, {"euler": cup(x, x)}, ValueError, "Euler class degree 4 != rank 2"),
+        "sw-ring": (line, {"sw_total": base.ring.one()}, ValueError, "mod-2 base ring"),
+        "sw-degree-0": (line, {"sw_total": mod2.generator("x")}, ValueError, "degree-0 part equal to 1"),
+        "trivial-negative": (line, {"trivial_summands": -1}, ValueError, "non-negative"),
+        "sections-negative": (line, {"independent_sections": -1}, ValueError, "non-negative"),
+        "counts-above-rank": (plus, {"independent_sections": 4}, ValueError, "cannot exceed the rank"),
+        "sw-above-sections": (line, {"independent_sections": 1}, ValueError, "SW classes above degree 1"),
+        "top-sw": (line, {"euler": two_x}, ValueError, "top SW class"),
         "section-euler": (
             line,
             {"euler": two_x, "sw_total": mod2.one(), "has_complex_structure": False, "independent_sections": 1},
+            ValueError,
             "vanishing Euler class",
         ),
-        "complex-odd-rank": (plus, {"has_complex_structure": True}, "even rank"),
-        "complement-no-trivial": (line, {"complement_euler": base.ring.zero()}, "trivial line subbundle"),
-        "complement-degree": (plus, {"complement_euler": cup(x, x)}, "degree rank - 1"),
+        "complex-odd-rank": (plus, {"has_complex_structure": True}, ValueError, "even rank"),
+        "complement-no-trivial": (line, {"complement_euler": base.ring.zero()}, ValueError, "trivial line subbundle"),
+        "complement-degree": (plus, {"complement_euler": cup(x, x)}, ValueError, "degree rank - 1"),
+        # the counts are exact ints: a float or a bool is refused before any comparison
+        "rank-float": (line, {"rank": 1.5}, TypeError, "rank must be an int, not float"),
+        "rank-bool": (trivial, {"rank": True}, TypeError, "rank must be an int, not bool"),
+        "trivial-float": (plus, {"trivial_summands": 1.0}, TypeError, "trivial_summands must be an int, not float"),
+        "trivial-bool": (plus, {"trivial_summands": True}, TypeError, "trivial_summands must be an int, not bool"),
+        "sections-float": (plus, {"independent_sections": 1.0}, TypeError, "independent_sections must be an int"),
+        "sections-bool": (plus, {"independent_sections": True}, TypeError, "independent_sections must be an int"),
     }
 
 
@@ -223,11 +237,11 @@ BAD_FIELDS = _bad_fields()
 
 @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
 def test_public_constructor_refuses_each_bad_field(case):
-    d, updates, message = BAD_FIELDS[case]
+    d, updates, error, message = BAD_FIELDS[case]
     fields = {f.name: getattr(d, f.name) for f in dataclasses.fields(d)}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         BundleDescriptor(**{**fields, **updates})
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         dataclasses.replace(d, **updates)
 
 
@@ -300,6 +314,12 @@ class TestDescriptorValidation:
     def test_point_base(self):
         b = trivial_bundle(point(), 3)
         assert b.rank == 3
+
+    @pytest.mark.parametrize("rank", [1.5, 2.0, True])
+    def test_trivial_bundle_rank_must_be_an_int(self, rank):
+        # built without the public re-check, so its entry check is the only one
+        with pytest.raises(TypeError, match="rank must be an int"):
+            trivial_bundle(cpn(2), rank)
 
 
 class TestDdot:

@@ -128,6 +128,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RingDescriptor(generators)
 
+    @pytest.mark.parametrize("coefficients", ["Z/2", "Z", 2, None], ids=["str-mod2", "str-z", "int", "none"])
+    def test_coefficients_must_be_a_member(self, coefficients):
+        with pytest.raises(TypeError, match="coefficients must be a Coefficients member"):
+            RingDescriptor((Generator("x", 2, 3),), coefficients)
+
+    def test_generators_must_be_a_tuple_of_generators(self):
+        with pytest.raises(TypeError, match="generators must be a tuple, not list"):
+            RingDescriptor([Generator("x", 2, 3)])
+        with pytest.raises(TypeError, match="generators must hold Generator values"):
+            RingDescriptor(("x",))
+
     def test_point_ring_is_truncated_at_one(self):
         r = RingDescriptor(())
         assert r == point().ring
@@ -279,6 +290,17 @@ class TestLHModule:
             LHModule(r, cpn_ring(4).generator("x"), 2)
         with pytest.raises(ValueError, match="u_degree"):
             LHModule(r, r.zero(), 0)
+
+    @pytest.mark.parametrize("u_degree", [2.5, 2.0, True, "2", None])
+    def test_u_degree_must_be_an_int(self, u_degree):
+        r = cpn_ring(3)
+        with pytest.raises(TypeError, match="u_degree must be an int"):
+            LHModule(r, r.zero(), u_degree)
+
+    @pytest.mark.parametrize("euler_eta", [0, None, {1: 1}])
+    def test_euler_eta_must_be_a_ring_element(self, euler_eta):
+        with pytest.raises(TypeError, match="euler_eta must be a RingElement"):
+            LHModule(cpn_ring(3), euler_eta, 2)
 
 
 class TestLHElement:
@@ -459,9 +481,32 @@ def test_arithmetic_builds_the_canonical_form(operands):
     ]
     for result, dense in cases:
         assert result == RingElement(ring, dict(enumerate(dense)))
+    top = [c if k == t - 1 else 0 for k, c in enumerate(dense_a)]
+    results = [result for result, _ in cases] + [left.homogeneous_part(2 * (t - 1))]
+    assert results[-1] == RingElement(ring, dict(enumerate(dense_sum(top, [0] * t, mod2))))
+    if not mod2:
+        reduced = mod2_reduce(left)
+        assert reduced.ring is ring.mod2_shadow()
+        assert reduced == RingElement(reduced.ring, dict(enumerate(dense_sum(dense_a, [0] * t, True))))
+        results.append(reduced)
+    for result in results:
+        # each result owns a dict built for it, never an operand's
+        assert result.terms is not left.terms and result.terms is not right.terms
         assert all(result.terms.values())
-        if mod2:
+        if result.ring.coefficients is Coefficients.MOD2:
             assert set(result.terms.values()) <= {1}
+
+
+def test_canonical_takes_ownership_of_a_zero_free_integral_dict():
+    ring = cpn_ring(3)
+    terms = {0: 2, 2: -1}
+    assert RingElement._canonical(ring, terms).terms is terms
+    with_zero = {0: 2, 1: 0, 2: -1}
+    element = RingElement._canonical(ring, with_zero)
+    assert element.terms == {0: 2, 2: -1} and element == RingElement(ring, with_zero)
+    # over Z/2 the dict is rebuilt, reduced, whatever it holds
+    reduced = RingElement._canonical(ring.mod2_shadow(), terms)
+    assert reduced.terms == {2: 1} and reduced.terms is not terms
 
 
 @given(st.integers(1, 6), st.integers(1, 3), st.integers(-3, 3))
